@@ -14,16 +14,13 @@ Three sections, one JSON report:
   reported but not asserted (there is nothing to parallelize onto).
   Shard counts never change the numbers — parity is asserted either
   way.
-* **memory** — private-copy vs shared-memory market state, both
-  process-backed, at 10³ → 10⁵ pools (smoke stops at 10³).  Each rung
-  runs the same stream under both models and asserts (a) bit-identical
-  books, (b) aggregate per-shard market state ≥ ``MEMORY_MIN_RATIO``×
-  smaller under the shared model, and (c) throughput within
-  ``MEMORY_MIN_THROUGHPUT_RATIO`` of the private model.  The ratio
-  gates the *per-shard duplicated* state — what grows with shard
-  count; the one shared segment is a non-scaling singleton, reported
-  separately (``segment_nbytes``, ``total_ratio``).  Per-shard RSS
-  high-water and seqlock epoch-wait / torn-read-retry counts land in
+* **memory** — process-backed market state at 10³ → 10⁵ pools (smoke
+  stops at 10³).  Each rung asserts that every shard maps zero private
+  column bytes and holds nothing but its reserve-less pool handles (the
+  market lives once, in the shared segment), and — up to 10⁴ pools,
+  where the batch oracle stays affordable — that the book equals batch
+  detection.  Segment bytes, per-shard handle bytes, per-shard RSS
+  high-water, and seqlock epoch-wait / torn-read-retry counts land in
   the JSON artifact.
 
 Run standalone (CI runs the smoke variant and uploads the JSON)::
@@ -70,20 +67,14 @@ FULL_MEMORY = [(300, 1_000, 6), (2_500, 10_000, 3), (20_000, 100_000, 2)]
 SMOKE_MEMORY = [(120, 1_000, 3)]
 MEMORY_EVENTS_PER_BLOCK = 8
 MEMORY_POOLS_PER_BLOCK = 4
-#: shared model must shrink aggregate per-shard market state this much
-MEMORY_MIN_RATIO = 5.0
-#: ...without costing throughput.  0.7 leaves noise headroom on a
-#: multi-core runner (measured parity is ~0.95); on a single core the
-#: shared model's one writer serializes with every shard on the only
-#: CPU, so the floor relaxes — matching the scaling section's
-#: single-core treatment.
-MEMORY_MIN_THROUGHPUT_RATIO = 0.7
-MEMORY_MIN_THROUGHPUT_RATIO_1CPU = 0.55
+#: the batch-detect oracle is O(loops) per block; above this many pools
+#: the memory rungs report without it
+MEMORY_ORACLE_MAX_POOLS = 10_000
 
 
-def run_service(market, log, *, n_shards, backend, shared=False):
+def run_service(market, log, *, n_shards, backend):
     service = OpportunityService(
-        market, n_shards=n_shards, backend=backend, queue_size=64, shared=shared
+        market, n_shards=n_shards, backend=backend, queue_size=64
     )
     t0 = time.perf_counter()
     try:
@@ -96,12 +87,10 @@ def run_service(market, log, *, n_shards, backend, shared=False):
     return {
         "n_shards": n_shards,
         "backend": backend,
-        "shared": shared,
         "wall_s": wall_s,
         "events": report.events_ingested,
         "events_per_s": report.events_per_s,
         "evaluations": report.evaluations,
-        "cache_hit_rate": report.cache_hit_rate,
         "e2e_p50_ms": e2e.get("p50_ms", 0.0),
         "e2e_p99_ms": e2e.get("p99_ms", 0.0),
         "shm_epoch_waits": counters.get("shm_epoch_waits", 0),
@@ -143,8 +132,7 @@ def run_ladder(cases, seed, repeats):
             f"{row['events_per_s']:>10,.0f} ev/s, "
             f"e2e p50 {row['e2e_p50_ms']:>7.2f}ms / "
             f"p99 {row['e2e_p99_ms']:>7.2f}ms, "
-            f"{row['evaluations']} evals, "
-            f"cache {row['cache_hit_rate']:.0%}"
+            f"{row['evaluations']} evals"
         )
     return results
 
@@ -191,78 +179,56 @@ def run_scaling(case, seed, repeats, n_shards_multi):
 
 
 def run_memory(cases, seed, repeats, n_shards):
-    """Shared vs private market state, same stream, both process-backed."""
+    """Process-backed market state: one segment, handle-only shards."""
     results = []
     for n_tokens, n_pools, n_blocks in cases:
         market, log = make_workload(
             n_tokens, n_pools, n_blocks, MEMORY_EVENTS_PER_BLOCK, seed,
             pools_per_block=MEMORY_POOLS_PER_BLOCK, price_ticks_per_block=1,
         )
-        private = best_of(
+        run = best_of(
             repeats,
-            lambda: run_service(
-                market, log, n_shards=n_shards, backend="process", shared=False
-            ),
+            lambda: run_service(market, log, n_shards=n_shards, backend="process"),
         )
-        shared = best_of(
-            repeats,
-            lambda: run_service(
-                market, log, n_shards=n_shards, backend="process", shared=True
-            ),
-        )
-        assert shared["book"] == private["book"], (
-            f"memory-section parity violation at {n_pools} pools: "
-            "shared book != private book"
-        )
-        if n_pools <= 10_000:  # batch oracle is O(loops) per block
-            expected = batch_detect_ranking(market, log)
-            assert private["book"] == expected, (
+        if n_pools <= MEMORY_ORACLE_MAX_POOLS:
+            assert run["book"] == batch_detect_ranking(market, log), (
                 f"memory-section parity violation at {n_pools} pools: "
-                "private book != batch detection"
+                "book != batch detection"
             )
-        agg_private = private["memory"]["aggregate_shard_market_bytes"]
-        agg_shared = shared["memory"]["aggregate_shard_market_bytes"]
-        segment = shared["memory"].get("segment_nbytes", 0)
-        agg_ratio = agg_private / agg_shared if agg_shared else float("inf")
-        total = agg_shared + segment
-        total_ratio = agg_private / total if total else float("inf")
-        throughput_ratio = (
-            shared["events_per_s"] / private["events_per_s"]
-            if private["events_per_s"] > 0
-            else float("inf")
-        )
+        memory = run["memory"]
+        private = memory["shard_private_column_bytes"]
+        handles = memory["shard_handle_bytes"]
+        rss = memory["shard_rss_bytes_max"]
         row = {
             "n_tokens": n_tokens,
             "n_pools": n_pools,
             "n_blocks": n_blocks,
             "n_shards": n_shards,
-            "private": {k: v for k, v in private.items() if k != "book"},
-            "shared": {k: v for k, v in shared.items() if k != "book"},
-            "agg_ratio": agg_ratio,
-            "total_ratio": total_ratio,
-            "throughput_ratio": throughput_ratio,
+            "segment_nbytes": memory["store_nbytes"],
+            "shard_private_column_bytes": private,
+            "shard_handle_bytes": handles,
+            "shard_rss_bytes_max": rss,
+            "parent_rss_bytes_max": memory["parent_rss_bytes_max"],
+            "events_per_s": run["events_per_s"],
+            "shm_epoch_waits": run["shm_epoch_waits"],
+            "shm_torn_retries": run["shm_torn_retries"],
         }
         results.append(row)
         print(
             f"memory at {n_pools:>6} pools x {n_shards} shards: "
-            f"private {agg_private:>12,}B vs shared {agg_shared:>10,}B "
-            f"(+{segment:,}B segment, once) -> {agg_ratio:.2f}x smaller, "
-            f"throughput {throughput_ratio:.2f}x, "
-            f"epoch waits {shared['shm_epoch_waits']}, "
-            f"torn retries {shared['shm_torn_retries']}"
+            f"segment {memory['store_nbytes']:>12,}B (once), per-shard "
+            f"handles {max(handles):>10,}B max, shard RSS "
+            f"{max(rss.values(), default=0) / 2**20:,.0f}MiB max, "
+            f"{run['events_per_s']:,.0f} ev/s, "
+            f"epoch waits {run['shm_epoch_waits']}, "
+            f"torn retries {run['shm_torn_retries']}"
         )
-        assert agg_ratio >= MEMORY_MIN_RATIO, (
-            f"memory gate: shared model only {agg_ratio:.2f}x smaller at "
-            f"{n_pools} pools (need >= {MEMORY_MIN_RATIO}x)"
+        assert private == [0] * n_shards, (
+            f"memory gate: shards hold private column bytes {private} at "
+            f"{n_pools} pools (the market must live only in the segment)"
         )
-        floor = (
-            MEMORY_MIN_THROUGHPUT_RATIO
-            if (os.cpu_count() or 1) >= 2
-            else MEMORY_MIN_THROUGHPUT_RATIO_1CPU
-        )
-        assert throughput_ratio >= floor, (
-            f"memory gate: shared throughput {throughput_ratio:.2f}x of "
-            f"private at {n_pools} pools (need >= {floor}x)"
+        assert all(nbytes > 0 for nbytes in handles), (
+            f"memory gate: a shard reports no pool handles at {n_pools} pools"
         )
     return results
 

@@ -9,8 +9,8 @@ Walks the full service lifecycle:
    shards publish);
 4. quiesce and verify the final book equals batch detection on the
    final market state — the service's parity guarantee;
-5. print the top opportunities and the run's throughput / latency /
-   cache metrics.
+5. print the top opportunities and the run's throughput / latency
+   metrics.
 
 Run::
 
@@ -82,8 +82,7 @@ async def main_async(args) -> None:
         print(f"  {i}. ${opp.profit_usd:>10,.2f}  {opp.path}  (block {opp.block})")
     e2e = report.metrics["latencies"]["end_to_end"]
     print(
-        f"throughput {report.events_per_s:,.0f} ev/s, cache hit-rate "
-        f"{report.cache_hit_rate:.1%}, end-to-end p50 "
+        f"throughput {report.events_per_s:,.0f} ev/s, end-to-end p50 "
         f"{e2e['p50_ms']:.2f}ms / p99 {e2e['p99_ms']:.2f}ms"
     )
 

@@ -8,7 +8,6 @@ Examples::
     repro-arb runtime --lengths 3,5,10
     repro-arb calibrate --seed 42      # synthetic snapshot §VI counts
     repro-arb detect --length 3        # list profitable loops
-    repro-arb detect --jobs 4          # ... scored on 4 worker processes
     repro-arb sweep --strategies maxmax,maxprice --step 0.1
     repro-arb replay --blocks 12       # stream a synthetic event log
     repro-arb replay --events stream.jsonl --snapshot market.json
@@ -124,26 +123,23 @@ def build_parser() -> argparse.ArgumentParser:
                    "constant-product, byte-identical to older builds)")
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for scoring (1 = serial)")
     p.add_argument("--scalar", action="store_true",
                    help="disable the cross-loop batch kernels (closed-form, "
                    "iterative, and weighted) and score every loop on the "
                    "scalar path (correctness oracle; identical numbers, "
-                   "slower, composable with --jobs)")
+                   "slower)")
     p.add_argument("--csv", help="write the full ranked list to a CSV file "
                    "(deterministic: profit desc, canonical loop id asc)")
     p.add_argument("--no-prune", action="store_true",
                    help="quote every loop exactly instead of pruning the "
                    "ranking with profit upper bounds (identical top-K "
-                   "either way; pruning is auto-disabled by --scalar, "
-                   "--csv, and --jobs > 1)")
+                   "either way; pruning is auto-disabled by --scalar "
+                   "and --csv)")
     p.add_argument("--exact", action="store_true",
                    help="audit every quote in contract integer arithmetic "
                    "(floor division, 18-decimal base units): adds the "
                    "base-unit profit the chain would actually pay next to "
-                   "the float estimate; runs serial whatever --jobs says, "
-                   "so output is byte-stable across job counts")
+                   "the float estimate")
     p.add_argument("--trace", metavar="FILE",
                    help="record pipeline spans and write a trace on exit "
                    "(.jsonl = span lines, anything else = Chrome/Perfetto "
@@ -245,17 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registry name of the book's scoring strategy")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--backend", choices=("inline", "process"), default="inline",
-                   help="process = one worker process per shard (multi-core)")
-    shared = p.add_mutually_exclusive_group()
-    shared.add_argument("--shared", action="store_true", default=None,
-                        dest="shared",
-                        help="back the market with one read-only shared-memory "
-                        "segment instead of per-shard private copies (default: "
-                        "auto — on for the process backend whenever the "
-                        "strategy has a batch kernel)")
-    shared.add_argument("--no-shared", action="store_false", default=None,
-                        dest="shared",
-                        help="force per-shard private market copies")
+                   help="process = one worker process per shard (multi-core), "
+                   "all mapping one shared-memory market segment")
     p.add_argument("--start-method", choices=("fork", "spawn"), default=None,
                    dest="start_method",
                    help="multiprocessing start method for --backend process "
@@ -304,15 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--backend", choices=("inline", "process"), default="inline")
-    shared = p.add_mutually_exclusive_group()
-    shared.add_argument("--shared", action="store_true", default=None,
-                        dest="shared",
-                        help="one shared-memory market segment for all shards "
-                        "(default: auto — on for the process backend whenever "
-                        "the strategy has a batch kernel)")
-    shared.add_argument("--no-shared", action="store_false", default=None,
-                        dest="shared",
-                        help="force per-shard private market copies")
     p.add_argument("--start-method", choices=("fork", "spawn"), default=None,
                    dest="start_method",
                    help="multiprocessing start method for --backend process")
@@ -474,10 +452,9 @@ def _cmd_detect(args) -> None:
         )
     # the bound-ordered pruned ranking only makes sense for the plain
     # top-K table: --csv needs the full exact list, --exact audits every
-    # loop, and --scalar / --jobs pick explicit evaluation paths
+    # loop, and --scalar picks the explicit scalar path
     prune = not (
-        args.no_prune or args.scalar or args.csv or args.jobs != 1
-        or args.exact
+        args.no_prune or args.scalar or args.csv or args.exact
     ) and bool(loops)
     pruned = 0
     exact_details: dict[int, dict | None] = {}
@@ -497,9 +474,6 @@ def _cmd_detect(args) -> None:
     elif args.exact:
         from .market import BatchEvaluator, MarketArrays
 
-        # exact quotes are integer statements: evaluate on the serial
-        # batch evaluator whatever --jobs says, so the ranked output
-        # (and any CSV) is byte-stable across job counts
         evaluator = BatchEvaluator(
             loops,
             arrays=MarketArrays.from_registry(snapshot.registry),
@@ -515,9 +489,7 @@ def _cmd_detect(args) -> None:
             key=lambda pair: opportunity_sort_key(pair[0], pair[1].canonical_id),
         )
     else:
-        engine = _make_engine(args.jobs)
-        if args.scalar:
-            engine.vectorize = False
+        engine = EvaluationEngine(vectorize=not args.scalar)
         results = engine.evaluate_strategy(MaxMaxStrategy(), loops, snapshot.prices)
         # profit descending, canonical loop id ascending on ties: the same
         # total order the opportunity book uses, so output (and any CSV
@@ -807,30 +779,12 @@ def _cmd_replay(args) -> None:
         print(f"wrote {args.csv}")
 
 
-def _resolve_shared(shared: bool | None, backend: str, strategy) -> bool:
-    """``--shared``/``--no-shared`` tri-state: None = auto.
-
-    Auto enables the zero-copy segment exactly where it pays: the
-    process backend (private copies cost one market per shard) with a
-    strategy the batch kernels cover (shared shards evaluate
-    kernel-only).  Inline runs and scalar-only strategies stay on
-    private copies unless forced.
-    """
-    if shared is not None:
-        return shared
-    if backend != "process":
-        return False
-    from .market import batch_kind
-
-    return batch_kind(strategy) is not None
-
-
 def _install_sigterm_exit() -> None:
     """Make SIGTERM unwind as SystemExit so ``finally`` blocks run.
 
-    The serve/loadgen paths own a shared-memory segment; a default
-    SIGTERM would kill the process without running the cleanup that
-    unlinks it from /dev/shm.  Raising SystemExit routes termination
+    The serve/loadgen process backend owns a shared-memory segment; a
+    default SIGTERM would kill the process without running the cleanup
+    that unlinks it from /dev/shm.  Raising SystemExit routes termination
     through the normal ``finally``/atexit path instead.  Main thread
     only; harmless to call twice.
     """
@@ -898,7 +852,6 @@ def _cmd_serve(args) -> None:
     if args.rate > 0:
         source = paced(source, args.rate)
 
-    shared = _resolve_shared(args.shared, args.backend, strategy)
     _install_sigterm_exit()
     try:
         service = OpportunityService(
@@ -910,7 +863,6 @@ def _cmd_serve(args) -> None:
             queue_size=args.queue_size,
             ingest_policy=args.policy,
             prune_top_k=None if args.no_prune else max(1, args.top),
-            shared=shared,
             start_method=args.start_method,
         )
     except ValueError as exc:
@@ -918,7 +870,7 @@ def _cmd_serve(args) -> None:
     print(
         f"serving {origin} over {service.total_loops} candidate "
         f"length-{args.length} loops, {args.shards} shard(s) "
-        f"[{args.backend}{', shared memory' if shared else ''}], "
+        f"[{args.backend}], "
         f"loops per shard {service.plan.loops_per_shard()}"
     )
 
@@ -952,27 +904,19 @@ def _cmd_serve(args) -> None:
         f"{result.events_ingested} events ({result.events_dropped} dropped) in "
         f"{result.duration_s:.3f}s -> {result.events_per_s:,.0f} ev/s; "
         f"{result.evaluations} loop evaluations "
-        f"({result.loops_pruned} pruned by bounds), "
-        f"cache hit-rate {result.cache_hit_rate:.1%}; "
+        f"({result.loops_pruned} pruned by bounds); "
         f"end-to-end p50 {e2e.get('p50_ms', 0.0):.2f}ms / "
         f"p99 {e2e.get('p99_ms', 0.0):.2f}ms"
     )
     memory = result.memory
-    if memory.get("shared"):
-        counters = result.metrics.get("counters", {})
-        print(
-            f"shared market: segment {memory['segment_name']} "
-            f"({memory['segment_nbytes']:,}B), per-shard private state "
-            f"{memory['aggregate_shard_market_bytes']:,}B total; "
-            f"seqlock epoch waits {counters.get('shm_epoch_waits', 0)}, "
-            f"torn-read retries {counters.get('shm_torn_retries', 0)}"
-        )
-    elif memory:
-        print(
-            f"market state: {memory['aggregate_shard_market_bytes']:,}B "
-            f"across {result.n_shards} private shard cop"
-            f"{'y' if result.n_shards == 1 else 'ies'}"
-        )
+    counters = result.metrics.get("counters", {})
+    print(
+        f"market store: {memory['segment_name'] or 'in-process'} "
+        f"({memory['store_nbytes']:,}B, held once), per-shard handles "
+        f"{sum(memory['shard_handle_bytes']):,}B total; "
+        f"seqlock epoch waits {counters.get('shm_epoch_waits', 0)}, "
+        f"torn-read retries {counters.get('shm_torn_retries', 0)}"
+    )
     if args.json:
         import json
 
@@ -1014,14 +958,10 @@ def _cmd_loadgen(args) -> None:
         pools_per_block=args.pools_per_block,
         stableswap_fraction=args.stableswap_fraction,
     )
-    from .strategies.maxmax import MaxMaxStrategy
-
-    shared = _resolve_shared(args.shared, args.backend, MaxMaxStrategy())
     _install_sigterm_exit()
     print(
         f"loadgen: {len(log)} events over {args.blocks} blocks, "
-        f"{args.pools} pools, {args.shards} shard(s) "
-        f"[{args.backend}{', shared memory' if shared else ''}]"
+        f"{args.pools} pools, {args.shards} shard(s) [{args.backend}]"
     )
     reports = []
     for rate in rates:
@@ -1037,7 +977,6 @@ def _cmd_loadgen(args) -> None:
                 n_tokens=args.tokens,
                 n_blocks=args.blocks,
                 prune_top_k=args.prune_top_k,
-                shared=shared,
                 start_method=args.start_method,
             )
         )
@@ -1049,7 +988,6 @@ def _cmd_loadgen(args) -> None:
             f"{row['e2e_p50_ms']:.2f}",
             f"{row['e2e_p95_ms']:.2f}",
             f"{row['e2e_p99_ms']:.2f}",
-            f"{row['cache_hit_rate']:.1%}",
             row["evaluations"],
             row["loops_pruned"],
         )
@@ -1057,7 +995,7 @@ def _cmd_loadgen(args) -> None:
     ]
     print(report.format_table(
         ["offered ev/s", "achieved ev/s", "dropped", "p50 ms", "p95 ms",
-         "p99 ms", "cache hit %", "evals", "pruned"],
+         "p99 ms", "evals", "pruned"],
         rows,
     ))
     if args.json:

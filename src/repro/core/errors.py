@@ -30,6 +30,7 @@ __all__ = [
     "DegenerateLoopError",
     "OptimizationError",
     "InfeasibleProgramError",
+    "UnsupportedPoolFamilyError",
     "SolverConvergenceError",
     "StrategyError",
     "MissingPriceError",
@@ -95,6 +96,11 @@ class OptimizationError(ReproError):
 
 class InfeasibleProgramError(OptimizationError, ValueError):
     """A convex program has no feasible point (or no interior point)."""
+
+
+class UnsupportedPoolFamilyError(OptimizationError, ValueError):
+    """A loop crosses a pool family the convex program has no hop
+    feasibility constraint for (stableswap, today)."""
 
 
 class SolverConvergenceError(OptimizationError, RuntimeError):

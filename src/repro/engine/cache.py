@@ -123,7 +123,7 @@ class PoolStateCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """Counter snapshot (feeds the service's cache hit-rate metric)."""
+        """Counter snapshot."""
         return {
             "entries": len(self._entries),
             "maxsize": self.maxsize,

@@ -171,9 +171,9 @@ class MarketArrays:
         """Total payload bytes of the ten columns.
 
         The index maps (``pool_index`` / ``token_index``) are excluded
-        on purpose: this is the number the memory reports compare
-        across private-copy and shared-memory backends, and only the
-        columns are what gets duplicated or mapped.
+        on purpose: this is the store size the service's memory report
+        shows, and only the columns are what gets mapped into a
+        shared-memory segment.
         """
         return (
             self.reserve0.nbytes
@@ -249,7 +249,9 @@ class MarketArrays:
             token0 = self.tokens[self.token0_idx[i]]
             token1 = self.tokens[self.token1_idx[i]]
             descriptor = family_descriptor(self.family[i])
-            registry.add(descriptor.to_pool(self, i, token0, token1))
+            registry.add(
+                descriptor.to_pool(self, i, self.pool_ids[i], token0, token1)
+            )
         return registry
 
     def pull(

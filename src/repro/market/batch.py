@@ -31,6 +31,11 @@ The remaining scalar fallbacks are structural, not family-based:
   loops, fixed numpy dispatch overhead beats the win, and the scalar
   path can hit the reserve-keyed cache.
 
+Loops compiled over reserve-less :class:`~repro.market.PoolHandle`
+stand-ins (the service's shard workers) take the scalar route too:
+their pool objects are materialised from the current column rows for
+the duration of the call.
+
 Whatever the route, the numbers are the same; only the wall-clock
 differs.  :attr:`BatchEvaluator.stats` counts kernel-vs-scalar routing
 so consumers can assert no loop is *forced* scalar.
@@ -70,6 +75,7 @@ from .integer_kernel import (
     integer_batch_quotes,
 )
 from .kernel import BatchQuotes, batch_quotes, monetize_quotes
+from .shm import PoolHandle
 from .weighted_kernel import (
     chain_quotes,
     cp_bisection_quotes,
@@ -423,11 +429,33 @@ class BatchEvaluator:
             for position in live:
                 if position not in results:
                     results[position] = strategy.evaluate_cached(
-                        self.loops[position], prices, cache
+                        self._scalar_loop(position), prices, cache
                     )
         if self.exact:
             self._annotate_exact(results)
         return [results.get(position) for position in positions]
+
+    def _scalar_loop(self, position: int) -> ArbitrageLoop:
+        """The loop the scalar route quotes at ``position``.
+
+        Loops over live pool objects are quoted as they are.  Loops over
+        reserve-less :class:`~repro.market.PoolHandle` stand-ins get
+        pool objects materialised on demand from the current column
+        rows, through each family's ``to_pool`` — so a caller reading
+        the columns under a consistency bracket quotes the same state
+        on both routes, and nothing reserve-carrying outlives the call.
+        """
+        loop = self.loops[position]
+        if not isinstance(loop.pools[0], PoolHandle):
+            return loop
+        group, row = self._where[position]
+        pools = [
+            family_descriptor(handle.family).to_pool(
+                self.arrays, int(i), handle.pool_id, handle.token0, handle.token1
+            )
+            for handle, i in zip(loop.pools, self.groups[group].pool_idx[row])
+        ]
+        return ArbitrageLoop(loop.tokens, pools)
 
     def _annotate_exact(self, results: dict[int, StrategyResult]) -> None:
         """Attach ``details["exact"]`` to every fixed-start result.

@@ -16,8 +16,9 @@ handle that family without branching on type flags:
 * ``bound_factor`` — the per-hop spot-slope rule
   (``gamma * f'(0)`` per lane) the soundness bounds
   (:mod:`repro.market.bounds`) fold into the rate product;
-* ``to_pool`` — the object-path factory ``MarketArrays.to_registry``
-  materializes rows with;
+* ``to_pool`` — the object-path factory that materializes a row as a
+  pool object (``MarketArrays.to_registry``, and the batch evaluator's
+  scalar route over reserve-less handles);
 * flags: ``closed_form`` (the family composes linear-fractionally, so
   pure groups keep the closed-form kernel and the tighter sqrt profit
   bound), ``depletion_check`` (the scalar swap mirror checks reserve
@@ -275,22 +276,25 @@ def _stableswap_bound_factor(arrays, mask, pool_col, orient_col, x, y, gamma, ho
 
 
 # ----------------------------------------------------------------------
-# object-path factories (MarketArrays.to_registry)
+# object-path factories: row ``i`` of the columns as a fresh pool object
+# (MarketArrays.to_registry, and the batch evaluator's scalar route over
+# reserve-less handles — the caller names the pool, since a segment view
+# carries no pool ids)
 # ----------------------------------------------------------------------
 
 
-def _cpmm_to_pool(arrays, i, token0, token1):
+def _cpmm_to_pool(arrays, i, pool_id, token0, token1):
     return Pool(
         token0,
         token1,
         float(arrays.reserve0[i]),
         float(arrays.reserve1[i]),
         fee=float(arrays.fee[i]),
-        pool_id=arrays.pool_ids[i],
+        pool_id=pool_id,
     )
 
 
-def _g3m_to_pool(arrays, i, token0, token1):
+def _g3m_to_pool(arrays, i, pool_id, token0, token1):
     return WeightedPool(
         token0,
         token1,
@@ -299,11 +303,11 @@ def _g3m_to_pool(arrays, i, token0, token1):
         float(arrays.weight0[i]),
         float(arrays.weight1[i]),
         fee=float(arrays.fee[i]),
-        pool_id=arrays.pool_ids[i],
+        pool_id=pool_id,
     )
 
 
-def _stableswap_to_pool(arrays, i, token0, token1):
+def _stableswap_to_pool(arrays, i, pool_id, token0, token1):
     return StableSwapPool(
         token0,
         token1,
@@ -311,7 +315,7 @@ def _stableswap_to_pool(arrays, i, token0, token1):
         float(arrays.reserve1[i]),
         amplification=float(arrays.amp[i]),
         fee=float(arrays.fee[i]),
-        pool_id=arrays.pool_ids[i],
+        pool_id=pool_id,
     )
 
 

@@ -1,10 +1,9 @@
 """Zero-copy shared-memory market state for multi-process shards.
 
-The service's private-copy model pays N× memory for N shards: every
-:class:`~repro.service.worker.ShardWorker` duplicates its slice of the
-pool registry plus a private columnar mirror.  This module keeps ONE
-copy of the market in a named ``multiprocessing.shared_memory``
-segment and lets every shard map it read-only:
+A process-backed service must not pay N× memory for N shards.  This
+module keeps ONE copy of the market in a named
+``multiprocessing.shared_memory`` segment and lets every shard process
+map it read-only:
 
 * :class:`SharedMarketArrays` — the **single writer**'s end.  A
   :class:`~repro.market.MarketArrays` whose columns live inside a
@@ -23,10 +22,10 @@ segment and lets every shard map it read-only:
   ``torn_retries`` for "writer moved underneath the read") for the
   metrics pipeline.
 * :class:`PoolHandle` — a reserve-less stand-in for a
-  :class:`~repro.amm.pool.Pool` carrying only loop topology and static
-  parameters, so shared-memory shards can rebind their loops without
-  holding any reserve state at all (the batch kernels read reserves
-  from the columns, never from pool objects).
+  :class:`~repro.amm.pool.Pool` carrying only loop topology and pool
+  family, so shards can rebind their loops without holding any reserve
+  state at all (the batch kernels read reserves from the columns, and
+  the scalar route materialises pool objects from them on demand).
 
 Consistency contract (why torn reads are harmless *and* retried): the
 writer applies blocks in stream order and a shard processes its routed
@@ -171,10 +170,11 @@ class PoolHandle:
 
     Exactly enough for loop validation (``token in pool``), kernel
     compilation (``pool_id`` / ``token0`` / ``family`` drive row and
-    kernel-group selection), and result assembly — and nothing else.
-    Reserves, fees, weights, and amplifications live in the shared
-    columns alone: a shared-memory shard that accidentally routes a
-    loop onto the scalar (object-reading) path fails loudly with
+    kernel-group selection), materialising a pool object from the
+    columns (:meth:`~repro.market.BatchEvaluator.evaluate_many`'s
+    scalar route), and result assembly — and nothing else.  Reserves,
+    fees, weights, and amplifications live in the columns alone: a
+    handle that leaks onto an object-reading path fails loudly with
     ``AttributeError`` instead of silently quoting stale state.
     """
 
@@ -206,8 +206,8 @@ class PoolHandle:
 
 def pool_handles(pools: Iterable) -> dict[str, PoolHandle]:
     """``pool_id -> PoolHandle`` map, the registry stand-in that
-    :func:`~repro.replay.apply.rebind_loops` accepts for shared-memory
-    shards."""
+    :func:`~repro.replay.apply.rebind_loops` accepts for shard
+    workers."""
     return {pool.pool_id: PoolHandle(pool) for pool in pools}
 
 
@@ -502,8 +502,8 @@ class SharedMarketView:
     @property
     def private_nbytes(self) -> int:
         """Bytes of per-shard private column state: zero — every
-        column is a view of the shared segment.  (The worker adds its
-        reserve-less pool handles on top when accounting.)"""
+        column is a view of the shared segment.  (The worker reports
+        its reserve-less pool handles separately.)"""
         return 0
 
     def __repr__(self) -> str:

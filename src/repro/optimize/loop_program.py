@@ -11,7 +11,8 @@ is received from hop ``j-1 (mod n)`` and spent into hop ``j``.
 Constraints:
 
 * per hop: CPMM feasibility ``out_i <= F_i(in_i)`` (concave form of the
-  paper's product constraint);
+  paper's product constraint), or its G3M twin for weighted pools —
+  other pool families raise :class:`UnsupportedPoolFamilyError`;
 * per token: linking ``out_{j-1} >= in_j`` — these are the inequalities
   that distinguish eq. (8); eq. (7) instead imposes *equalities* for
   the non-start tokens (and the paper shows eq. (7) collapses to the
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.errors import InfeasibleProgramError
+from ..amm.families import FAMILY_CPMM, FAMILY_G3M, FAMILY_NAMES, pool_family
+from ..core.errors import InfeasibleProgramError, UnsupportedPoolFamilyError
 from ..core.loop import ArbitrageLoop, Rotation
 from ..core.types import PriceMap, ProfitVector, Token
 from .closed_form import optimize_rotation
@@ -194,7 +196,8 @@ def build_loop_program(
     for i, (token_in, token_out, pool) in enumerate(rotation0.hops()):
         x, y = pool.reserves_oriented(token_in)
         hop_name = f"hop-{i}:{token_in.symbol}->{token_out.symbol}"
-        if getattr(pool, "is_constant_product", True):
+        family = pool_family(pool)
+        if family == FAMILY_CPMM:
             inequalities.append(
                 HopConstraint(
                     x=x,
@@ -206,7 +209,7 @@ def build_loop_program(
                     name=hop_name,
                 )
             )
-        else:
+        elif family == FAMILY_G3M:
             inequalities.append(
                 WeightedHopConstraint(
                     x=x,
@@ -218,6 +221,12 @@ def build_loop_program(
                     n_vars=n_vars,
                     name=hop_name,
                 )
+            )
+        else:
+            raise UnsupportedPoolFamilyError(
+                f"the convex program has no hop constraint for "
+                f"{FAMILY_NAMES.get(family, f'family {family}')} pool "
+                f"{pool.pool_id!r} ({hop_name} of {loop.canonical_id})"
             )
 
     for j, token in enumerate(tokens):

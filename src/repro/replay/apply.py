@@ -1,8 +1,8 @@
 """Shared event-application and invalidation-index primitives.
 
-Both block-by-block consumers of a market event stream — the offline
+The block-by-block consumers of a market event stream — the offline
 :class:`~repro.replay.ReplayDriver` and the online sharded workers of
-:mod:`repro.service` — need the same two building blocks:
+:mod:`repro.service` — share these building blocks:
 
 * :func:`apply_event` — mutate a private market copy (and price map)
   according to one event, recording which pool / token it dirtied;
@@ -12,11 +12,12 @@ Both block-by-block consumers of a market event stream — the offline
   pools, so the batch quote kernel sees the new reserves;
 * :func:`build_loop_indices` — the inverted indices (pool id → loop
   positions, token → loop positions) that turn a dirty set into the
-  exact set of loops whose stored results are stale.
+  exact set of loops whose stored results are stale;
+* :func:`rebind_loops` — point loops at another set of pool objects.
 
-Keeping them here means the service's per-shard dirty-set logic is the
-*same code* whose incremental/full parity the replay test suite pins
-down, not a reimplementation that could drift.
+Keeping the indices here means the service's per-shard dirty-set logic
+is the *same code* whose incremental/full parity the replay test suite
+pins down, not a reimplementation that could drift.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ def apply_block_events(
     """Apply one block's events; return ``(prices, dirty_pools,
     dirty_tokens, n_events)``.
 
-    The block-consumer boilerplate shared by the replay driver and the
-    service's shard workers: every event goes through
-    :func:`apply_event`, the mutated pools' own event records are
+    The replay driver's block-consumer boilerplate: every event goes
+    through :func:`apply_event`, the mutated pools' own event records are
     dropped (the private pools record their mutations as they happen;
     nothing here reads those logs, so they must not mirror the whole
     input stream in memory), and — when the caller keeps a columnar
@@ -152,8 +152,9 @@ def rebind_loops(
 
     Loop *topology* is registry-independent; only the live pool
     references differ between a market and its copies.  Rebinding a
-    universe enumerated once onto each shard's private market copy is
-    how the service avoids per-shard re-enumeration.
+    universe enumerated once onto each shard's reserve-less pool
+    handles (any ``pool_id -> pool`` mapping works) is how the service
+    avoids per-shard re-enumeration.
     """
     return tuple(
         ArbitrageLoop(

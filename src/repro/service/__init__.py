@@ -8,17 +8,17 @@ event stream:
   log, a JSONL file, or a running simulation;
 * :class:`ShardPlan` — deterministic pool/loop partitioning and event
   routing across N shards;
-* :class:`ShardWorker` — per-shard dirty-set re-evaluation (the replay
-  layer's invalidation over a shard-local
-  :class:`~repro.engine.PoolStateCache`), inline or in a child process
+* :class:`ShardWorker` — per-shard dirty-set re-evaluation over the one
+  column store ingest writes (in-process columns, or a shared-memory
+  segment for child processes), inline or in a child process
   (:class:`ProcessShardPool`) for multi-core throughput;
 * :class:`OpportunityBook` — the live top-K book: heap-backed ranking
   (profit desc, canonical loop id asc) with sequence-numbered
   snapshots and bounded delta subscriptions;
 * :class:`OpportunityService` — the asyncio pipeline wiring it all
   together, with bounded queues, backpressure or block-shedding, and a
-  :class:`ServiceMetrics` registry (events/sec, queue depths, cache
-  hit-rate, per-stage p50/p99 latency);
+  :class:`ServiceMetrics` registry (events/sec, queue depths,
+  per-stage p50/p99 latency);
 * :mod:`~repro.service.loadgen` — the measurement harness behind
   ``repro-arb loadgen`` and ``benchmarks/bench_service_throughput.py``.
 
@@ -40,14 +40,7 @@ from .metrics import LatencyStat, ServiceMetrics
 from .pipeline import OpportunityService, ServiceReport, batch_detect_ranking
 from .sharding import ShardPlan
 from .sources import jsonl_source, log_source, paced, simulation_source
-from .worker import (
-    BlockWork,
-    ProcessShardPool,
-    SharedBlockWork,
-    SharedShardWorker,
-    ShardUpdate,
-    ShardWorker,
-)
+from .worker import BlockWork, ProcessShardPool, ShardUpdate, ShardWorker
 
 __all__ = [
     "BlockWork",
@@ -65,8 +58,6 @@ __all__ = [
     "ShardPlan",
     "ShardUpdate",
     "ShardWorker",
-    "SharedBlockWork",
-    "SharedShardWorker",
     "batch_detect_ranking",
     "jsonl_source",
     "log_source",

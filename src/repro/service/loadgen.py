@@ -4,7 +4,7 @@ Builds a seeded synthetic market and event stream, offers it to an
 :class:`~repro.service.OpportunityService` at a target rate (or as
 fast as the pipeline will take it), and reduces the run to a flat
 :class:`LoadReport` — sustained events/sec, end-to-end latency
-quantiles, drop and backpressure accounting, cache hit-rate.  The
+quantiles, drop and backpressure accounting.  The
 ``repro-arb loadgen`` command and ``benchmarks/
 bench_service_throughput.py`` are thin wrappers over this module, so
 CLI runs, CI smoke runs, and the full benchmark ladder all measure
@@ -31,8 +31,7 @@ __all__ = ["LoadReport", "make_workload", "run_load"]
 _CSV_FIELDS = [
     "n_pools", "n_tokens", "n_blocks", "n_shards", "backend", "rate",
     "events_ingested", "events_dropped", "blocks_dropped", "duration_s",
-    "events_per_s", "evaluations", "loops_pruned", "cache_hit_rate",
-    "e2e_p50_ms", "e2e_p95_ms", "e2e_p99_ms", "book_seq", "profitable_loops",
+    "events_per_s", "evaluations", "loops_pruned", "e2e_p50_ms", "e2e_p95_ms", "e2e_p99_ms", "book_seq", "profitable_loops",
 ]
 
 
@@ -63,7 +62,6 @@ class LoadReport:
             "events_per_s": s.events_per_s,
             "evaluations": s.evaluations,
             "loops_pruned": s.loops_pruned,
-            "cache_hit_rate": s.cache_hit_rate,
             "e2e_p50_ms": e2e.get("p50_ms", 0.0),
             "e2e_p95_ms": e2e.get("p95_ms", 0.0),
             "e2e_p99_ms": e2e.get("p99_ms", 0.0),
@@ -135,7 +133,6 @@ def run_load(
     n_tokens: int | None = None,
     n_blocks: int | None = None,
     prune_top_k: int | None = None,
-    shared: bool = False,
     start_method: str | None = None,
 ) -> LoadReport:
     """Drive one service run over ``log`` and flatten the result.
@@ -143,10 +140,7 @@ def run_load(
     ``rate`` throttles the offered stream (events/sec); 0 means "as
     fast as the pipeline accepts", which measures sustained capacity.
     ``prune_top_k`` enables bound-based re-quote pruning with the
-    book's K-th profit as feedback (see :class:`OpportunityService`);
-    ``shared`` backs the market with one shared-memory segment instead
-    of per-shard copies (the zero-copy model the memory benchmark
-    compares against this private-copy default).
+    book's K-th profit as feedback (see :class:`OpportunityService`).
     """
     service = OpportunityService(
         market,
@@ -156,7 +150,6 @@ def run_load(
         ingest_policy=ingest_policy,
         queue_size=queue_size,
         prune_top_k=prune_top_k,
-        shared=shared,
         start_method=start_method,
     )
     try:

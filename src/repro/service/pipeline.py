@@ -15,11 +15,17 @@ asyncio pipeline::
   for parity with batch detection); ``"drop"`` sheds whole blocks
   atomically across shards when any target queue is full (lossy but
   cross-shard consistent — the overload mode the load generator
-  exercises), counting every dropped event.
-* **Shards** run the replay layer's dirty-set invalidation over their
-  slice of the loop universe (see :mod:`repro.service.worker`), either
-  inline on the event loop or in long-lived child processes
-  (``backend="process"``) for multi-core throughput.
+  exercises), counting every dropped event.  Ingest is also the only
+  writer of the one column store every shard reads: each non-shed
+  block's routed pool events are applied to it before the block is
+  dispatched — plain in-process :class:`~repro.market.MarketArrays` on
+  the inline backend, a :class:`~repro.market.SharedMarketArrays`
+  segment under a single-writer seqlock on the process backend.
+* **Shards** map each block's dirty store rows and ticked tokens to
+  their slice of the loop universe and re-quote only those loops (see
+  :mod:`repro.service.worker`), either inline on the event loop or in
+  long-lived child processes (``backend="process"``) for multi-core
+  throughput.
 * **Publish** applies each shard's updates to the
   :class:`~repro.service.book.OpportunityBook` as a sequenced delta
   and records per-stage latencies into :class:`ServiceMetrics`.
@@ -35,19 +41,14 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import AsyncIterator
 
-from ..amm.events import (
-    BurnEvent,
-    MarketEvent,
-    MintEvent,
-    PriceTickEvent,
-    SwapEvent,
-)
+from ..amm.events import BurnEvent, MarketEvent, MintEvent, SwapEvent
 from ..data.snapshot import MarketSnapshot
 from ..engine import EvaluationEngine
-from ..market import SharedMarketArrays, batch_kind, pool_handles
+from ..market import MarketArrays, SharedMarketArrays
 from ..replay.apply import build_loop_indices
 from ..strategies.base import Strategy
 from ..strategies.maxmax import MaxMaxStrategy
@@ -57,14 +58,7 @@ from ..telemetry.metrics import MetricRegistry, get_registry
 from .book import BookSnapshot, Opportunity, OpportunityBook
 from .metrics import ServiceMetrics
 from .sharding import ShardPlan
-from .worker import (
-    BlockWork,
-    ProcessShardPool,
-    SharedBlockWork,
-    SharedShardWorker,
-    ShardUpdate,
-    ShardWorker,
-)
+from .worker import BlockWork, ProcessShardPool, ShardUpdate, ShardWorker
 
 __all__ = ["OpportunityService", "ServiceReport", "batch_detect_ranking"]
 
@@ -125,16 +119,14 @@ class ServiceReport:
     blocks_ingested: int
     blocks_dropped: int
     evaluations: int
-    cache_hits: int
-    cache_misses: int
     n_shards: int
     backend: str
     loops_per_shard: tuple[int, ...]
     book: BookSnapshot
     metrics: dict
     loops_pruned: int = 0
-    #: Memory accounting: per-shard market-state bytes, the shared
-    #: segment (if any), and RSS high-water marks (see
+    #: Memory accounting: the column store (held once), per-shard
+    #: private column and handle bytes, and RSS high-water marks (see
     #: ``OpportunityService._memory_report``).
     memory: dict = field(default_factory=dict)
 
@@ -142,11 +134,6 @@ class ServiceReport:
     def events_per_s(self) -> float:
         applied = self.events_ingested - self.events_dropped
         return applied / self.duration_s if self.duration_s > 0 else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def top(self, k: int) -> tuple[Opportunity, ...]:
         return self.book.top(k)
@@ -161,9 +148,6 @@ class ServiceReport:
             "events_per_s": self.events_per_s,
             "evaluations": self.evaluations,
             "loops_pruned": self.loops_pruned,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
             "n_shards": self.n_shards,
             "backend": self.backend,
             "loops_per_shard": list(self.loops_per_shard),
@@ -180,7 +164,8 @@ class OpportunityService:
     Parameters
     ----------
     market:
-        Starting snapshot; every shard works on a private copy.
+        Starting snapshot; its pools are copied once into the column
+        store (the snapshot itself is never mutated).
     n_shards:
         Number of shard workers; pools (and hence loops) are
         partitioned deterministically across them.
@@ -189,8 +174,14 @@ class OpportunityService:
     strategy:
         The scoring strategy for the book; default MaxMax.
     backend:
-        ``"inline"`` (shards as asyncio tasks, default) or
-        ``"process"`` (one child process per shard — multi-core).
+        ``"inline"`` (shards as asyncio tasks reading one in-process
+        column store, default) or ``"process"`` (one child process per
+        shard — multi-core — each mapping one shared-memory segment).
+        Either way shards hold only reserve-less pool handles, and a
+        shard may quote *fresher* state than the block that dirtied a
+        loop when ingest has already written later blocks (never torn
+        state — the seqlock retries those reads), so per-run pruning
+        counters can depend on timing; the quiesced book cannot.
     queue_size:
         Bound of every inter-stage queue.
     ingest_policy:
@@ -209,21 +200,10 @@ class OpportunityService:
         sub-threshold) values.  ``None`` (default) disables pruning —
         the full-book parity mode.
     shared:
-        ``True`` backs the market with one shared-memory segment
-        (:class:`~repro.market.SharedMarketArrays`) that every shard
-        maps instead of copying: ingest becomes the single seqlock
-        writer, shards hold only reserve-less pool handles (kernels
-        read the mapped columns directly), and process-backend work
-        items shrink to (block, epoch, dirty rows).  Requires a
-        kernel-batchable strategy (the paper's three, on any solver
-        method).  On a quiesced stream the book parity guarantee is
-        unchanged; mid-stream, shards may quote *fresher* committed
-        state than the block that dirtied a loop (never torn state —
-        the seqlock retries those reads), so per-run pruning counters
-        can differ from the private-copy model while the quiesced
-        top-K cannot.  Default ``False`` (private copies — the
-        oracle); the ``serve``/``loadgen`` CLI auto-enables it for the
-        process backend.
+        Not a setting: whether the store is a shared-memory segment
+        follows from ``backend``.  ``None`` (default) accepts that; an
+        explicit value must agree with it (``True`` exactly for
+        ``"process"``), otherwise ``ValueError``.
     start_method:
         Multiprocessing start method for the process backend
         (``"fork"``, ``"spawn"``, ``"forkserver"``; ``None`` =
@@ -243,11 +223,17 @@ class OpportunityService:
         metrics: ServiceMetrics | None = None,
         engine: EvaluationEngine | None = None,
         prune_top_k: int | None = None,
-        shared: bool = False,
+        shared: bool | None = None,
         start_method: str | None = None,
     ):
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+        if shared is not None and bool(shared) != (backend == "process"):
+            raise ValueError(
+                f"shared={shared!r} contradicts backend={backend!r}: the "
+                "process backend always shares one memory segment and the "
+                "inline backend never does"
+            )
         if ingest_policy not in _POLICIES:
             raise ValueError(
                 f"ingest_policy must be one of {_POLICIES}, got {ingest_policy!r}"
@@ -263,14 +249,7 @@ class OpportunityService:
         self.strategy = strategy if strategy is not None else MaxMaxStrategy()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.engine = engine if engine is not None else EvaluationEngine()
-        self.shared = bool(shared)
         self.start_method = start_method
-        if self.shared and batch_kind(self.strategy) is None:
-            raise ValueError(
-                "shared=True requires a kernel-batchable strategy "
-                "(Traditional/MaxPrice/MaxMax on closed_form, bisection, "
-                f"or golden); got {type(self.strategy).__name__!r}"
-            )
 
         universe = self.engine.loop_universe(market.registry, length)
         self.plan = ShardPlan(
@@ -278,34 +257,26 @@ class OpportunityService:
             universe.candidates,
             n_shards,
         )
-        self._shared_arrays: SharedMarketArrays | None = None
-        if self.shared:
-            # one segment for the whole market; each shard gets its own
-            # zero-copy view and reserve-less handles for loop
-            # topology — no registry copies anywhere
-            self._shared_arrays = SharedMarketArrays(market.registry)
-            handles = pool_handles(market.registry)
-            self.workers: list = [
-                SharedShardWorker(
-                    shard,
-                    self._shared_arrays.view(),
-                    [universe.candidates[i] for i in self.plan.shard_loops[shard]],
-                    self.strategy,
-                    handles,
-                    market.prices,
-                )
-                for shard in range(n_shards)
-            ]
+        # the one column store for the whole market, written only by
+        # ingest: a segment each shard process maps through its own
+        # zero-copy view, or in-process columns the inline shards read
+        # directly — no per-shard market copies anywhere
+        self._segment: SharedMarketArrays | None = None
+        if backend == "process":
+            self._segment = SharedMarketArrays(market.registry)
+            self._store: MarketArrays = self._segment
         else:
-            self.workers = [
-                ShardWorker(
-                    shard,
-                    market,
-                    [universe.candidates[i] for i in self.plan.shard_loops[shard]],
-                    self.strategy,
-                )
-                for shard in range(n_shards)
-            ]
+            self._store = MarketArrays.from_registry(market.registry)
+        self.workers = [
+            ShardWorker(
+                shard,
+                self._segment.view() if self._segment is not None else self._store,
+                [universe.candidates[i] for i in self.plan.shard_loops[shard]],
+                self.strategy,
+                market.prices,
+            )
+            for shard in range(n_shards)
+        ]
         self.book = OpportunityBook()
         for worker in self.workers:
             self.book.apply(-1, worker.shard_id, worker.initial_entries())
@@ -346,74 +317,44 @@ class OpportunityService:
                 ids.update(self._token_loop_ids.get(token, ()))
         return ids
 
-    def _write_shared_block(self, events, block: int) -> int:
-        """Apply one (non-shed) block's routed pool events to the
-        shared segment under the seqlock; return the committed epoch.
+    def _write_block(self, events, block: int) -> int:
+        """Apply one (non-shed) block's routed pool events to the store;
+        return the committed seqlock epoch (0 in-process).
 
-        The single-writer half of the shared-memory protocol: the
+        The single-writer half of the store protocol: on a segment the
         epoch goes odd, the events apply through the same
         :meth:`~repro.market.MarketArrays.apply_events` arithmetic the
         columnar parity suite pins against the object path, and the
         epoch goes even.  Only events that route to at least one shard
-        are applied — identical semantics to the private model, where
-        a pool no loop crosses never has its events applied anywhere.
+        are applied: a pool no loop crosses never changes.
         """
-        if self._shared_arrays is None:
-            return 0
         writes = [
             event
             for event in events
             if isinstance(event, (SwapEvent, MintEvent, BurnEvent))
             and self.plan.shards_for_pool(event.pool_id)
         ]
+        segment = self._segment
         if writes:
             with trace.span("ingest.shm_write", block=block, events=len(writes)):
-                with self._shared_arrays.write_block():
-                    self._shared_arrays.apply_events(writes)
-        return self._shared_arrays.epoch
-
-    def _shared_work(
-        self, block: int, epoch: int, events, t_ingest: float, threshold
-    ) -> SharedBlockWork:
-        """One shard's zero-copy work item: dirty segment rows (ordered,
-        deduplicated) plus the block's price ticks."""
-        pool_index = self._shared_arrays.pool_index
-        rows: list[int] = []
-        seen: set[int] = set()
-        ticks: list[tuple] = []
-        for event in events:
-            if isinstance(event, PriceTickEvent):
-                ticks.append((event.token, event.price))
-                continue
-            row = pool_index[event.pool_id]
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        return SharedBlockWork(
-            block=block,
-            epoch=epoch,
-            rows=tuple(rows),
-            ticks=tuple(ticks),
-            t_ingest=t_ingest,
-            t_dispatch=time.perf_counter(),
-            threshold=threshold,
-        )
+                with segment.write_block() if segment is not None else nullcontext():
+                    self._store.apply_events(writes)
+        return segment.epoch if segment is not None else 0
 
     def _memory_report(self, window: ServiceMetrics) -> dict:
-        """The report's ``memory`` block: accounted market-state bytes
-        per shard (what the shared-vs-private benchmark gates on) plus
-        RSS high-water marks (observational — RSS includes the whole
+        """The report's ``memory`` block: the column store's bytes (held
+        once, whatever the shard count), what each shard holds on top —
+        private column bytes (zero) and reserve-less handle bytes — and
+        RSS high-water marks (observational: RSS includes the whole
         interpreter)."""
-        shard_bytes = [worker.market_state_bytes() for worker in self.workers]
-        segment = self._shared_arrays
+        segment = self._segment
         return {
-            "shared": self.shared,
             "segment_name": segment.segment_name if segment is not None else None,
-            "segment_nbytes": segment.segment_nbytes if segment is not None else 0,
-            "shard_market_bytes": shard_bytes,
-            "aggregate_shard_market_bytes": sum(shard_bytes),
-            "total_market_bytes": sum(shard_bytes)
-            + (segment.segment_nbytes if segment is not None else 0),
+            "store_nbytes": self._store.nbytes,
+            "shard_private_column_bytes": [
+                worker.private_column_nbytes for worker in self.workers
+            ],
+            "shard_handle_bytes": [worker.handle_nbytes for worker in self.workers],
             "shard_rss_bytes_max": {
                 name: int(value)
                 for name, value in window.gauges.items()
@@ -424,17 +365,16 @@ class OpportunityService:
 
     def close(self) -> None:
         """Release shared-memory state: detach every worker view and
-        unlink the segment (idempotent; a no-op for private-copy
-        services).  The process backend calls this automatically from
-        the pool's cleanup path; inline shared services should close
-        when done — though a leaked segment is still swept by the
+        unlink the segment (idempotent; a no-op on the inline backend).
+        The process backend calls this automatically from the pool's
+        cleanup path — and a leaked segment is still swept by the
         module's ``atexit`` guard and, ultimately, the stdlib resource
         tracker."""
-        if self._shared_arrays is None:
+        if self._segment is None:
             return
         for worker in self.workers:
             worker.close()
-        self._shared_arrays.unlink()
+        self._segment.unlink()
 
     @property
     def n_shards(self) -> int:
@@ -510,22 +450,18 @@ class OpportunityService:
                 entry = pending.setdefault(current_block, [0, []])
                 entry[0] += len(routed)
                 entry[1].append(dirty_ids)
-            epoch = self._write_shared_block(buffer, current_block)
+            epoch = self._write_block(buffer, current_block)
             for shard, events in routed.items():
                 queue = shard_queues[shard]
                 metrics.observe_gauge_max("shard_queue_depth_max", queue.qsize())
-                if self.shared:
-                    work: BlockWork | SharedBlockWork = self._shared_work(
-                        current_block, epoch, events, t_ingest, threshold
-                    )
-                else:
-                    work = BlockWork(
-                        block=current_block,
-                        events=tuple(events),
-                        t_ingest=t_ingest,
-                        t_dispatch=time.perf_counter(),
-                        threshold=threshold,
-                    )
+                work = BlockWork.from_events(
+                    current_block,
+                    events,
+                    self._store.pool_index,
+                    epoch=epoch,
+                    t_ingest=t_ingest,
+                    threshold=threshold,
+                )
                 t0 = time.perf_counter()
                 await queue.put(work)
                 metrics.latency("ingest_backpressure").observe(
@@ -649,14 +585,10 @@ class OpportunityService:
             metrics.inc("updates_published")
             metrics.inc("evaluations", update.evaluated)
             metrics.inc("loops_pruned", update.pruned)
-            metrics.inc("cache_hits", update.cache_hits)
-            metrics.inc("cache_misses", update.cache_misses)
-            if self.shared:
-                # seqlock retry accounting (zero-valued incs still
-                # materialize the counters, so shared-run reports and
-                # the bench artifact always carry them)
-                metrics.inc("shm_epoch_waits", update.shm_epoch_waits)
-                metrics.inc("shm_torn_retries", update.shm_torn_retries)
+            # seqlock retry accounting (zero in-process; zero-valued
+            # incs still materialize the counters for every report)
+            metrics.inc("shm_epoch_waits", update.shm_epoch_waits)
+            metrics.inc("shm_torn_retries", update.shm_torn_retries)
             metrics.latency("shard_eval").observe(update.eval_s)
             metrics.latency("dispatch_wait").observe(
                 max(0.0, update.t_dispatch - update.t_ingest)
@@ -773,7 +705,7 @@ class OpportunityService:
                     # down — on *every* exit path, including errors and
                     # KeyboardInterrupt, which is what keeps /dev/shm
                     # clean after killed runs
-                    cleanup=self.close if self.shared else None,
+                    cleanup=self.close,
                 )
                 pool.start()
                 try:
@@ -822,8 +754,6 @@ class OpportunityService:
             blocks_dropped=counters.get("blocks_dropped", 0),
             evaluations=counters.get("evaluations", 0),
             loops_pruned=counters.get("loops_pruned", 0),
-            cache_hits=counters.get("cache_hits", 0),
-            cache_misses=counters.get("cache_misses", 0),
             n_shards=self.n_shards,
             backend=self.backend,
             loops_per_shard=self.plan.loops_per_shard(),

@@ -1,28 +1,29 @@
 """Per-shard evaluation state and the process-shard host.
 
-A shard worker is the service's unit of parallelism, in one of two
-memory models:
+A :class:`ShardWorker` is the service's unit of parallelism.  It reads
+the one column store the ingest stage writes — plain in-process
+:class:`~repro.market.MarketArrays` on the inline backend, a
+:class:`~repro.market.SharedMarketView` of the shared-memory segment
+on the process backend — and holds no reserve state of its own: its
+loops are rebound onto reserve-less :class:`~repro.market.PoolHandle`
+stand-ins and compiled against the store once.  Per block it
 
-* :class:`ShardWorker` — the **private-copy** model (and the parity
-  oracle): a private market copy of only its shard's pools, that
-  slice mirrored as columnar :class:`~repro.market.MarketArrays` with
-  the shard's loops compiled against it, a shard-local
-  :class:`~repro.engine.cache.PoolStateCache` for the scalar
-  fallback, and the replay layer's dirty-set invalidation
-  (:func:`~repro.replay.apply.apply_block_events` +
-  :func:`~repro.replay.apply.build_loop_indices`).
-* :class:`SharedShardWorker` — the **zero-copy** model: loops rebound
-  onto reserve-less :class:`~repro.market.PoolHandle` stand-ins and
-  compiled against a :class:`~repro.market.SharedMarketView` of the
-  single shared-memory segment the ingest stage writes.  Per block it
-  waits for the block's seqlock epoch and re-quotes through the batch
-  kernels exclusively (``min_batch=1`` — the kernels are
-  bit-identical to the scalar path, which is what preserves the
-  parity guarantee without any reserve-carrying pool objects in the
-  shard).  Every kernel pass reads the mapped columns directly under
-  :meth:`~repro.market.SharedMarketView.read_consistent`, which
-  discards and retries passes the writer committed underneath — the
-  shard holds zero bytes of reserve state.
+1. syncs to the block (on a segment, waits for the block's seqlock
+   epoch),
+2. maps the block's dirty store rows and ticked tokens to its loops,
+3. bound-prunes the dirty loops against the book's threshold, and
+4. quotes the rest through :class:`~repro.market.BatchEvaluator`.
+
+Quotes route through the batch kernels, except dirty slices below the
+evaluator's ``min_batch`` and scalar-only strategies (convex), which
+take the scalar route on pool objects materialised on demand from the
+current column rows.  Every bound and quote pass runs inside one read
+bracket — :meth:`~repro.market.SharedMarketView.read_consistent` on a
+segment, which discards and retries passes the writer committed
+underneath; a direct call on in-process columns, which ingest only
+writes between shard passes.  The segment's seqlock (that bracket plus
+the epoch wait of step 1) is the only difference between the two
+backends.
 
 Workers are plain synchronous objects, so the pipeline can run them
 
@@ -32,12 +33,9 @@ Workers are plain synchronous objects, so the pipeline can run them
   long-lived child process fed over queues, which is what buys real
   multi-core throughput (each shard burns its own interpreter).
 
-Either way the numbers are identical: evaluation is a pure function of
-the shard's market state, and the shard sees every event that touches
-its loops' pools.  In the shared model the per-block work item is
-:class:`SharedBlockWork` — (block id, epoch, dirty row indices, price
-ticks) — so nothing resembling market state crosses the process
-boundary after construction.
+Either way the per-block work item is :class:`BlockWork` — (block id,
+epoch, dirty row indices, price ticks) — so nothing resembling market
+state crosses the process boundary after construction.
 """
 
 from __future__ import annotations
@@ -50,27 +48,22 @@ import time
 import traceback
 from dataclasses import dataclass
 from queue import Empty, Full
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..amm.events import MarketEvent
-from ..amm.registry import PoolRegistry
+from ..amm.events import BurnEvent, MarketEvent, MintEvent, PriceTickEvent, SwapEvent
 from ..core.types import Token
-from ..data.snapshot import MarketSnapshot
-from ..engine.cache import PoolStateCache
-from ..market import BatchEvaluator, MarketArrays, SharedMarketView, batch_kind
-from ..replay.apply import apply_block_events, build_loop_indices, rebind_loops
+from ..market import BatchEvaluator, MarketArrays, SharedMarketView, pool_handles
+from ..replay.apply import build_loop_indices, rebind_loops
 from ..strategies.base import Strategy
 from ..telemetry import trace
-from ..telemetry.memory import estimate_object_bytes, peak_rss_bytes
+from ..telemetry.memory import peak_rss_bytes
 from .book import Opportunity
 
 __all__ = [
     "BlockWork",
     "ProcessShardPool",
-    "SharedBlockWork",
-    "SharedShardWorker",
     "ShardUpdate",
     "ShardWorker",
 ]
@@ -78,7 +71,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockWork:
-    """One block's worth of events routed to one shard.
+    """One block routed to one shard.
+
+    No market state crosses the process boundary: ``epoch`` names the
+    seqlock epoch at which the writer committed this block (0 on an
+    in-process store), ``rows`` the store rows the block dirtied, and
+    ``ticks`` the block's price updates (stream data, not market state
+    — prices feed the monetization map each shard tracks locally).  A
+    work item pickles to a few hundred bytes regardless of market size.
 
     ``threshold`` is the pruning feedback from the book: the K-th
     profit among entries whose value is final for this block (``None``
@@ -86,31 +86,42 @@ class BlockWork:
     """
 
     block: int
-    events: tuple[MarketEvent, ...]
+    epoch: int
+    rows: tuple[int, ...]
+    ticks: tuple[tuple[Token, float], ...]
     t_ingest: float  # perf_counter at ingest (monotonic across processes on Linux)
     t_dispatch: float
     threshold: float | None = None
 
-
-@dataclass(frozen=True)
-class SharedBlockWork:
-    """One routed block in the shared-memory model.
-
-    No market state crosses the process boundary: ``epoch`` names the
-    seqlock epoch at which the writer committed this block, ``rows``
-    the segment rows the block dirtied on this shard, and ``ticks``
-    the block's price updates (stream data, not market state — prices
-    feed the monetization map each shard tracks locally).  A work item
-    pickles to a few hundred bytes regardless of market size.
-    """
-
-    block: int
-    epoch: int
-    rows: tuple[int, ...]
-    ticks: tuple[tuple[Token, float], ...]
-    t_ingest: float
-    t_dispatch: float
-    threshold: float | None = None
+    @classmethod
+    def from_events(
+        cls,
+        block: int,
+        events: Iterable[MarketEvent],
+        pool_index: Mapping[str, int],
+        *,
+        epoch: int = 0,
+        t_ingest: float = 0.0,
+        threshold: float | None = None,
+    ) -> "BlockWork":
+        """The work item for ``events`` already written to the store:
+        their dirty rows (ordered, deduplicated) plus the price ticks."""
+        rows: dict[int, None] = {}
+        ticks: list[tuple[Token, float]] = []
+        for event in events:
+            if isinstance(event, PriceTickEvent):
+                ticks.append((event.token, event.price))
+            elif isinstance(event, (SwapEvent, MintEvent, BurnEvent)):
+                rows.setdefault(pool_index[event.pool_id])
+        return cls(
+            block=block,
+            epoch=epoch,
+            rows=tuple(rows),
+            ticks=tuple(ticks),
+            t_ingest=t_ingest,
+            t_dispatch=time.perf_counter(),
+            threshold=threshold,
+        )
 
 
 @dataclass(frozen=True)
@@ -121,15 +132,13 @@ class ShardUpdate:
     answered by the bound pass alone (``evaluated + pruned`` = the
     block's dirty-set size on this shard).  The ``shm_*`` counters are
     the shared-memory seqlock's retry accounting for this block (zero
-    in the private-copy model).
+    on an in-process store).
     """
 
     shard: int
     block: int
     entries: tuple[Opportunity, ...]
     evaluated: int
-    cache_hits: int
-    cache_misses: int
     eval_s: float
     t_ingest: float
     t_dispatch: float
@@ -148,115 +157,171 @@ def _loop_path(loop) -> str:
     return " -> ".join(t.symbol for t in loop.tokens) + f" -> {loop.tokens[0].symbol}"
 
 
-class _ShardWorkerBase:
-    """The evaluation machinery both memory models share.
+class ShardWorker:
+    """Dirty-set incremental evaluation of one shard's loops over the
+    column store.
 
-    Subclasses own state acquisition — how a block's events become
-    (updated prices, touched loop positions) — via :meth:`_apply_work`;
-    everything downstream (bound-ordered pruning, kernel re-quoting,
-    entry assembly, stats) is identical, which is precisely why the
-    two models stay bit-compatible.
+    ``store`` is the service's in-process :class:`MarketArrays` or a
+    :class:`SharedMarketView` of its segment; either must still carry
+    its ``pool_index`` (build workers in the parent, before pickling).
+    The worker keeps, per loop, only what the book shows — last
+    published profit, amount in, start token — never a pool object.
     """
 
-    shard_id: int
-    strategy: Strategy
-    cache: PoolStateCache | None
-    loops: tuple
-
-    def _finish_init(self, prices) -> None:
-        """Prime results/pruning state once loops+evaluator exist."""
-        self.prices = prices
-        self._pool_loops, self._token_loops = build_loop_indices(self.loops)
+    def __init__(
+        self,
+        shard_id: int,
+        store: MarketArrays | SharedMarketView,
+        loops: Sequence,
+        strategy: Strategy,
+        prices,
+    ):
+        if store.pool_index is None:
+            raise ValueError(
+                "shard construction needs a store with pool_index "
+                "(build workers in the parent, before pickling)"
+            )
+        self.shard_id = shard_id
+        self.strategy = strategy
+        self.store = store
+        self._view = store if isinstance(store, SharedMarketView) else None
+        pools = {pool.pool_id: pool for loop in loops for pool in loop.pools}
+        self.loops = rebind_loops(loops, pool_handles(pools.values()))
+        self._evaluator = BatchEvaluator(self.loops, arrays=store)
+        if self._evaluator.fallback_positions:  # pragma: no cover - defensive
+            raise RuntimeError(
+                f"{len(self._evaluator.fallback_positions)} loops cross "
+                "pools the store does not hold"
+            )
+        # store row -> this shard's loop positions (BlockWork routes by row)
+        pool_loops, self._token_loops = build_loop_indices(self.loops)
+        self._row_loops: dict[int, tuple[int, ...]] = {
+            store.pool_index[pool_id]: positions
+            for pool_id, positions in pool_loops.items()
+        }
         self._loop_ids = tuple(loop.canonical_id for loop in self.loops)
         self._paths = tuple(_loop_path(loop) for loop in self.loops)
-        self._results = self._consistent(
-            lambda: self._evaluator.evaluate_many(
-                self.strategy, self.prices, cache=self.cache
-            )
-        )
-        # pruning state: last published monetized profit per loop (the
-        # "stored" side of the prune predicate) and a lazy max-heap of
-        # (-bound, version, index) candidates ordered by their latest
-        # profit upper bound.  A version bump invalidates every older
-        # heap tuple for that loop; NaN bounds are keyed +inf so they
-        # always surface (and always get an exact quote).
-        self._profits = np.array(
-            [result.monetized_profit for result in self._results], dtype=np.float64
-        )
+        self.prices = prices
+        n = len(self.loops)
+        # the book-facing state per loop: last published monetized
+        # profit (also the "stored" side of the prune predicate),
+        # amount in, and start symbol
+        self._profits = np.empty(n, dtype=np.float64)
+        self._amounts: list[float | None] = [None] * n
+        self._starts: list[str | None] = [None] * n
+        self._record(range(n), self._quote(list(range(n))))
+        # pruning state: a lazy max-heap of (-bound, version, index)
+        # candidates ordered by their latest profit upper bound.  A
+        # version bump invalidates every older heap tuple for that
+        # loop; NaN bounds are keyed +inf so they always surface (and
+        # always get an exact quote).
         self._bound_heap: list[tuple[float, int, int]] = []
-        self._bound_version = np.zeros(len(self.loops), dtype=np.int64)
+        self._bound_version = np.zeros(n, dtype=np.int64)
+
+    def __repr__(self) -> str:
+        return (
+            f"ShardWorker(shard={self.shard_id}, {len(self.loops)} loops, "
+            f"{self.store!r})"
+        )
 
     @property
     def evaluator_stats(self):
         """Kernel-vs-scalar routing counters of the shard's
-        :class:`~repro.market.BatchEvaluator` (tests assert weighted
-        loops are never forced onto the per-loop scalar path)."""
+        :class:`~repro.market.BatchEvaluator`."""
         return self._evaluator.stats
+
+    @property
+    def handle_nbytes(self) -> int:
+        """Bytes of the reserve-less pool handles this shard holds (one
+        per distinct pool its loops cross) — its only per-pool state."""
+        handles = {pool.pool_id: pool for loop in self.loops for pool in loop.pools}
+        return sum(sys.getsizeof(handle) for handle in handles.values())
+
+    @property
+    def private_column_nbytes(self) -> int:
+        """Column bytes this shard holds privately: zero either way —
+        a segment view maps every column, and an in-process store is
+        the service's one copy, not the shard's."""
+        return self._view.private_nbytes if self._view is not None else 0
 
     def stats_snapshot(self) -> dict:
         """Lifetime counters for the done message: evaluator routing,
         this process's RSS high-water (``*_max`` so the registry merge
-        keeps the peak), and — in the shared model — seqlock totals."""
+        keeps the peak), and the seqlock totals."""
         stats = self._evaluator.stats.to_dict()
         stats["rss_bytes_max"] = peak_rss_bytes()
+        stats["shm_epoch_waits"], stats["shm_torn_retries"] = self._seqlock_counters()
         return stats
 
-    def market_state_bytes(self) -> int:
-        """Accounted bytes of market state this worker privately holds
-        (the number the shared-vs-private memory gate compares)."""
-        raise NotImplementedError
-
     def close(self) -> None:
-        """Release any mapped resources (no-op for private copies)."""
+        """Detach a segment view (no-op on an in-process store)."""
+        if self._view is not None:
+            self._view.close()
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
 
     def initial_entries(self, block: int = -1) -> tuple[Opportunity, ...]:
-        """The shard's full evaluation of the starting market (primes
-        the book before any event is applied)."""
-        return tuple(
-            self._entry(index, block) for index in range(len(self.loops))
-        )
+        """Every loop's current entry — at construction, the shard's
+        full evaluation of the starting market (primes the book before
+        any event is applied)."""
+        return tuple(self._entry(index, block) for index in range(len(self.loops)))
 
     def _entry(self, index: int, block: int) -> Opportunity:
-        result = self._results[index]
         return Opportunity(
             loop_id=self._loop_ids[index],
             path=self._paths[index],
-            profit_usd=result.monetized_profit,
-            amount_in=result.amount_in,
-            start_symbol=result.start_token.symbol if result.start_token else None,
+            profit_usd=float(self._profits[index]),
+            amount_in=self._amounts[index],
+            start_symbol=self._starts[index],
             block=block,
             shard=self.shard_id,
         )
+
+    def _record(self, indices: Iterable[int], results) -> None:
+        for index, result in zip(indices, results):
+            self._profits[index] = result.monetized_profit
+            self._amounts[index] = result.amount_in
+            self._starts[index] = (
+                result.start_token.symbol if result.start_token else None
+            )
+
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
+
+    def _read(self, fn):
+        """Run one side-effect-free read of the store: a seqlock read
+        on a segment view (torn passes are discarded and re-run), a
+        direct call on in-process columns."""
+        if self._view is None:
+            return fn()
+        return self._view.read_consistent(fn)
+
+    def _quote(self, indices: list[int]) -> list:
+        """Exact quotes of the loops at ``indices`` — kernels for large
+        slices, pool objects materialised from the columns for the
+        rest, all inside one read bracket."""
+        return self._read(
+            lambda: self._evaluator.evaluate_many(
+                self.strategy, self.prices, indices=indices
+            )
+        )
+
+    def _seqlock_counters(self) -> tuple[int, int]:
+        """Lifetime (epoch_waits, torn_retries); zero in-process."""
+        if self._view is None:
+            return (0, 0)
+        return (self._view.epoch_waits, self._view.torn_retries)
 
     # ------------------------------------------------------------------
     # work
     # ------------------------------------------------------------------
 
-    def _work_size(self, work) -> int:
-        raise NotImplementedError
-
-    def _apply_work(self, work) -> set[int]:
-        """Advance shard state to ``work``'s block; return the touched
-        loop positions."""
-        raise NotImplementedError
-
-    def _consistent(self, fn):
-        """Run one side-effect-free read of market state (a kernel
-        pass).  The private-copy model owns its state, so this is just
-        ``fn()``; the shared model brackets it with the seqlock's
-        epoch check and retries torn passes."""
-        return fn()
-
-    def _shm_counters(self) -> tuple[int, int]:
-        """Lifetime (epoch_waits, torn_retries); zero when private."""
-        return (0, 0)
-
-    def process_block(self, work) -> ShardUpdate:
-        """Apply one routed block and re-evaluate only the dirty loops."""
+    def process_block(self, work: BlockWork) -> ShardUpdate:
+        """Advance to one routed block and re-evaluate only its dirty
+        loops."""
         t0 = time.perf_counter()
         if trace.is_enabled():
             # retroactive span for the time this block spent queued
@@ -274,53 +339,46 @@ class _ShardWorkerBase:
             "shard.block",
             shard=self.shard_id,
             block=work.block,
-            events=self._work_size(work),
+            events=len(work.rows) + len(work.ticks),
         ) as sp:
-            if self.cache is not None:
-                hits0, misses0 = self.cache.hits, self.cache.misses
-            else:
-                hits0 = misses0 = 0
-            waits0, torn0 = self._shm_counters()
-            touched = self._apply_work(work)
+            waits0, torn0 = self._seqlock_counters()
+            if self._view is not None:
+                with trace.span(
+                    "shard.sync", rows=len(work.rows), epoch=work.epoch
+                ) as sync:
+                    waits = self._view.wait_for_epoch(work.epoch)
+                    if waits:
+                        sync.set(waits=waits)
+            with trace.span("shard.apply", rows=len(work.rows), ticks=len(work.ticks)):
+                touched: set[int] = set()
+                for row in work.rows:
+                    touched.update(self._row_loops.get(row, ()))
+                for token, price in work.ticks:
+                    self.prices = self.prices.with_price(token, price)
+                    touched.update(self._token_loops.get(token, ()))
             reeval = sorted(touched)
             if work.threshold is None:
                 requote = reeval
             else:
                 requote = self._select_requotes(reeval, work.threshold)
-            entries = []
             with trace.span("shard.quote", loops=len(requote)):
-                results = self._consistent(
-                    lambda: self._evaluator.evaluate_many(
-                        self.strategy,
-                        self.prices,
-                        indices=requote,
-                        cache=self.cache,
-                    )
-                )
-                for index, result in zip(requote, results):
-                    self._results[index] = result
-                    self._profits[index] = result.monetized_profit
-                    entries.append(self._entry(index, work.block))
+                self._record(requote, self._quote(requote))
+                entries = tuple(self._entry(index, work.block) for index in requote)
             pruned = len(reeval) - len(requote)
             self._evaluator.stats.pruned_loops += pruned
-            waits1, torn1 = self._shm_counters()
-            waits, retries = waits1 - waits0, torn1 - torn0
+            waits1, torn1 = self._seqlock_counters()
             sp.set(dirty=len(reeval), quoted=len(requote), pruned=pruned)
         return ShardUpdate(
             shard=self.shard_id,
             block=work.block,
-            entries=tuple(entries),
+            entries=entries,
             evaluated=len(requote),
-            cache_hits=self.cache.hits - hits0 if self.cache is not None else 0,
-            cache_misses=(
-                self.cache.misses - misses0 if self.cache is not None else 0
-            ),
             eval_s=time.perf_counter() - t0,
             t_ingest=work.t_ingest,
             t_dispatch=work.t_dispatch,
             pruned=pruned,
-            shm_epoch_waits=waits,
-            shm_torn_retries=retries,
+            shm_epoch_waits=waits1 - waits0,
+            shm_torn_retries=torn1 - torn0,
         )
 
     def _select_requotes(self, reeval: list[int], threshold: float) -> list[int]:
@@ -338,7 +396,7 @@ class _ShardWorkerBase:
         if not reeval:
             return []
         with trace.span("shard.bounds", loops=len(reeval)):
-            bounds = self._consistent(
+            bounds = self._read(
                 lambda: self._evaluator.monetized_bounds(
                     self.strategy, self.prices, indices=reeval
                 )
@@ -382,204 +440,18 @@ class _ShardWorkerBase:
         heapq.heapify(self._bound_heap)
 
 
-class ShardWorker(_ShardWorkerBase):
-    """Dirty-set incremental evaluation over one shard's loops
-    (private-copy memory model)."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        market: MarketSnapshot,
-        loops: Sequence,
-        strategy: Strategy,
-        cache: PoolStateCache | None = None,
-    ):
-        self.shard_id = shard_id
-        # private copy of only the pools this shard's loops cross: the
-        # router guarantees no other pool's event ever reaches it, and
-        # restricting keeps N-shard memory (and process-backend pickle
-        # size) proportional to the shard, not the whole market
-        needed = sorted({pool.pool_id for loop in loops for pool in loop.pools})
-        registry = PoolRegistry()
-        for pool_id in needed:
-            registry.add(market.registry[pool_id].copy())
-        self.market = MarketSnapshot(
-            registry=registry, prices=market.prices, label=market.label
-        )
-        self.strategy = strategy
-        self.cache = cache if cache is not None else PoolStateCache()
-        # re-point the globally enumerated loops at this shard's pools
-        self.loops = rebind_loops(loops, self.market.registry)
-        # the shard's array slice: columnar reserves of exactly its
-        # pools, with its loop slice compiled against them once
-        self._evaluator = BatchEvaluator(
-            self.loops, arrays=MarketArrays.from_registry(self.market.registry)
-        )
-        self._finish_init(market.prices)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardWorker(shard={self.shard_id}, {len(self.loops)} loops, "
-            f"{len(self.market.registry)} pools)"
-        )
-
-    def market_state_bytes(self) -> int:
-        """Columns + duplicated pool-state objects (lower-bound
-        estimate; the number the shared-vs-private memory gate sums
-        per shard).
-
-        Counts what a private copy *owns*: its column slice, each pool
-        object with its id string and (block-locally drained) event
-        list, and the reserve/fee boxes — which become per-copy heap
-        allocations as soon as events apply.  Loop-topology objects
-        (tokens, the loops themselves) are excluded on both sides:
-        each model carries them identically.
-        """
-        total = self._evaluator.arrays.nbytes
-        for pool in self.market.registry:
-            events = getattr(pool, "_events", ())
-            total += estimate_object_bytes(pool, pool.pool_id, events, *events)
-            for slot in getattr(type(pool), "__slots__", ()):
-                value = getattr(pool, slot, None)
-                if isinstance(value, float):
-                    total += sys.getsizeof(value)
-        return total
-
-    def _work_size(self, work: BlockWork) -> int:
-        return len(work.events)
-
-    def _apply_work(self, work: BlockWork) -> set[int]:
-        with trace.span("shard.apply", events=len(work.events)):
-            self.prices, dirty_pools, dirty_tokens, _ = apply_block_events(
-                self.market.registry,
-                self.prices,
-                work.events,
-                arrays=self._evaluator.arrays,
-            )
-        touched: set[int] = set()
-        for pool_id in dirty_pools:
-            touched.update(self._pool_loops.get(pool_id, ()))
-        for token in dirty_tokens:
-            touched.update(self._token_loops.get(token, ()))
-        return touched
-
-
-class SharedShardWorker(_ShardWorkerBase):
-    """Dirty-set incremental evaluation over a shared-memory market.
-
-    Holds no reserve state: loops are rebound onto
-    :class:`~repro.market.PoolHandle` stand-ins and every quote runs
-    through the batch kernels (``min_batch=1``) against the shard's
-    :class:`~repro.market.SharedMarketView`.  Requires a
-    kernel-batchable strategy — the scalar fallback reads pool
-    objects, which this model deliberately does not have.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        view: SharedMarketView,
-        loops: Sequence,
-        strategy: Strategy,
-        handles: Mapping[str, object],
-        prices,
-    ):
-        if batch_kind(strategy) is None:
-            raise ValueError(
-                "shared-memory shards evaluate through the batch kernels "
-                f"only; strategy {type(strategy).__name__!r} has no batch "
-                "kind (use the private-copy model for scalar strategies)"
-            )
-        if view.pool_index is None:
-            raise ValueError(
-                "shared shard construction needs a view with pool_index "
-                "(build workers in the parent, before pickling)"
-            )
-        self.shard_id = shard_id
-        self.strategy = strategy
-        self.cache = None  # scalar path (the cache's only reader) is off
-        self._view = view
-        self.loops = rebind_loops(loops, handles)
-        self._evaluator = BatchEvaluator(self.loops, arrays=view, min_batch=1)
-        if self._evaluator.fallback_positions:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"{len(self._evaluator.fallback_positions)} loops did not "
-                "compile against the shared segment"
-            )
-        # segment row -> this shard's loop positions (the shared-model
-        # twin of the pool-id index; SharedBlockWork routes by row)
-        pool_loops, _ = build_loop_indices(self.loops)
-        self._row_loops: dict[int, tuple[int, ...]] = {
-            view.pool_index[pool_id]: positions
-            for pool_id, positions in pool_loops.items()
-        }
-        self._finish_init(prices)
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedShardWorker(shard={self.shard_id}, {len(self.loops)} "
-            f"loops, segment={self._view.segment_name!r})"
-        )
-
-    def stats_snapshot(self) -> dict:
-        stats = super().stats_snapshot()
-        stats["shm_epoch_waits"] = self._view.epoch_waits
-        stats["shm_torn_retries"] = self._view.torn_retries
-        return stats
-
-    def market_state_bytes(self) -> int:
-        """Reserve-less handles only — the columns are views of the
-        segment, which is shared and counted once by the service."""
-        total = self._view.private_nbytes
-        seen: set[str] = set()
-        for loop in self.loops:
-            for handle in loop.pools:
-                if handle.pool_id not in seen:
-                    seen.add(handle.pool_id)
-                    total += sys.getsizeof(handle)
-        return total
-
-    def close(self) -> None:
-        self._view.close()
-
-    def _consistent(self, fn):
-        return self._view.read_consistent(fn)
-
-    def _shm_counters(self) -> tuple[int, int]:
-        return (self._view.epoch_waits, self._view.torn_retries)
-
-    def _work_size(self, work: SharedBlockWork) -> int:
-        return len(work.rows) + len(work.ticks)
-
-    def _apply_work(self, work: SharedBlockWork) -> set[int]:
-        with trace.span(
-            "shard.sync", rows=len(work.rows), epoch=work.epoch
-        ) as sp:
-            waits = self._view.wait_for_epoch(work.epoch)
-            if waits:
-                sp.set(waits=waits)
-        for token, price in work.ticks:
-            self.prices = self.prices.with_price(token, price)
-        touched: set[int] = set()
-        for row in work.rows:
-            touched.update(self._row_loops.get(row, ()))
-        for token, _ in work.ticks:
-            touched.update(self._token_loops.get(token, ()))
-        return touched
-
-
 # ----------------------------------------------------------------------
 # process backend
 # ----------------------------------------------------------------------
 
 
-def _shard_main(worker: _ShardWorkerBase, in_queue, out_queue) -> None:
+def _shard_main(worker: ShardWorker, in_queue, out_queue) -> None:
     """Child-process loop: pull work until the ``None`` sentinel.
 
     The worker arrives by fork (Linux) or pickle (spawn contexts —
-    shared-model workers re-attach their segment by name on unpickle);
-    the priming pass already ran in the parent, so the child starts
-    with warm results and a warm cache.  A failing block is reported
+    its segment view re-attaches by name on unpickle); the priming pass
+    already ran in the parent, so the child starts with the published
+    profits its pruning compares against.  A failing block is reported
     as an ``("error", ...)`` message — never a silent death that would
     leave the parent blocked on the result queue.
 
@@ -631,7 +503,7 @@ class ProcessShardPool:
 
     ``start_method`` selects the multiprocessing context (``"fork"``,
     ``"spawn"``, ``"forkserver"``; ``None`` = platform default) —
-    shared-model workers pickle to segment names either way.
+    workers pickle to segment names either way.
     ``cleanup`` is invoked exactly once from :meth:`close`'s
     ``finally`` path (the service passes the shared segment's unlink
     there, so even an aborted run leaves ``/dev/shm`` clean).
@@ -639,7 +511,7 @@ class ProcessShardPool:
 
     def __init__(
         self,
-        workers: Sequence[_ShardWorkerBase],
+        workers: Sequence[ShardWorker],
         maxsize: int = 64,
         *,
         start_method: str | None = None,

@@ -21,7 +21,7 @@ from ..core.errors import StrategyError
 from ..core.loop import ArbitrageLoop, Rotation
 from ..core.types import PriceMap, ProfitVector, Token
 from ..optimize.bisection import maximize_by_derivative
-from ..optimize.closed_form import optimize_rotation
+from ..optimize.closed_form import optimize_composition
 from ..optimize.golden import golden_section_maximize
 from ..optimize.result import ScalarOptResult
 from .base import Strategy, StrategyResult
@@ -55,7 +55,7 @@ def optimize_rotation_by(rotation: Rotation, method: str = "closed_form") -> Sca
 
         return optimize_rotation_chain(rotation)
     if method == "closed_form":
-        return optimize_rotation(rotation)
+        return optimize_composition(comp)
     if method == "bisection":
         # Start the bracket expansion near the input-side reserve scale
         # so only a few doublings are needed.

@@ -12,9 +12,8 @@ Shard workers ship :func:`peak_rss_bytes` in their done message; the
 publish stage turns it into a ``shard{N}_rss_bytes_max`` gauge whose
 ``*_max`` suffix makes the registry merge keep the high-water mark.
 Note RSS measures the whole interpreter (numpy alone is tens of MB),
-so the shared-vs-private *market state* comparison in the benchmark is
-gated on the accounted column/registry bytes — RSS rides along as the
-observational ground truth.
+so the service's memory report accounts market state in column and
+handle bytes — RSS rides along as the observational ground truth.
 """
 
 from __future__ import annotations
@@ -54,15 +53,3 @@ def peak_rss_bytes() -> int:
     # ru_maxrss is KiB on Linux, bytes on macOS
     return peak if sys.platform == "darwin" else peak * 1024
 
-
-def estimate_object_bytes(obj, *extras) -> int:
-    """``sys.getsizeof`` of ``obj`` plus any directly-held extras.
-
-    A *lower-bound estimate* for the memory accounting in service
-    reports (it does not chase shared interned objects on purpose —
-    those are not duplicated per shard either).
-    """
-    total = sys.getsizeof(obj)
-    for extra in extras:
-        total += sys.getsizeof(extra)
-    return total

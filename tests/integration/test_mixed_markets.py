@@ -111,10 +111,10 @@ class TestEngineWithAllAgentTypes:
 
 
 class TestThreeFamilyBatching:
-    """PR-10 acceptance: loops crossing all three pool families route
-    through the batch chain kernel with zero forced scalar fallbacks,
-    and shared-memory serving over such a market is bit-identical to
-    the private-copy model."""
+    """Loops crossing all three pool families route through the batch
+    chain kernel with zero forced scalar fallbacks, and serving such a
+    market from the shared-memory segment (process backend) or private
+    in-process columns (inline backend) gives the batch-detect book."""
 
     @pytest.fixture
     def three_family_snapshot(self):
@@ -179,16 +179,21 @@ class TestThreeFamilyBatching:
     def test_shared_serving_bit_identical_to_private(self, three_family_snapshot):
         import asyncio
 
+        from repro.market import WEIGHTED_PARITY_RTOL
         from repro.replay import generate_event_stream
-        from repro.service import OpportunityService, log_source
+        from repro.service import (
+            OpportunityService,
+            batch_detect_ranking,
+            log_source,
+        )
 
         log = generate_event_stream(
             three_family_snapshot, n_blocks=6, events_per_block=5, seed=31
         )
 
-        def run(shared: bool, backend: str):
+        def run(backend: str):
             service = OpportunityService(
-                three_family_snapshot, n_shards=2, backend=backend, shared=shared
+                three_family_snapshot, n_shards=2, backend=backend
             )
             try:
                 return asyncio.run(service.run(log_source(log)))
@@ -201,8 +206,18 @@ class TestThreeFamilyBatching:
                 for o in report.book.entries
             ]
 
-        private = run(shared=False, backend="process")
-        shared = run(shared=True, backend="process")
+        private = run("inline")
+        shared = run("process")
+        # G3M hops quote through pow, so the documented contract with
+        # the scalar batch oracle is the weighted rtol, not bits
+        expected = batch_detect_ranking(three_family_snapshot, log)
+        for report in (private, shared):
+            got = [(o.profit_usd, o.loop_id) for o in report.book.entries]
+            assert [loop_id for _, loop_id in got] == [
+                loop_id for _, loop_id in expected
+            ]
+            for (profit, _), (want, _) in zip(got, expected):
+                assert profit == pytest.approx(want, rel=WEIGHTED_PARITY_RTOL)
         assert book(shared) == book(private)
         assert shared.events_ingested == len(log)
         assert shared.events_dropped == 0

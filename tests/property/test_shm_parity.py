@@ -1,13 +1,14 @@
-"""Property: the shared-memory market model is invisible in the numbers.
+"""Property: the column store's memory is invisible in the numbers.
 
-For arbitrary generated markets, streams, shard counts, and shard
-backends, a service running on one shared segment (zero-copy views,
-seqlock-bracketed kernel passes) must produce a quiesced opportunity
-book **bit-identical** to the private-copy model — which the service
-parity suite already pins to batch detection.  A second, concurrent
-property hammers the seqlock itself: under writer churn a consistent
-read never observes a torn pair, and the torn-read retry path is
-exercised for real.
+For arbitrary generated markets, streams, and shard counts, a service
+on the process backend — one shared segment, zero-copy views,
+seqlock-bracketed quote passes — and one on the inline backend — the
+same columns in private process memory — must both produce the
+quiesced opportunity book of batch detection, and therefore
+**bit-identical** books to each other.  A second, concurrent property
+hammers the seqlock itself: under writer churn a consistent read never
+observes a torn pair, and the torn-read retry path is exercised for
+real.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core import Token
 from repro.data import SyntheticMarketGenerator
 from repro.market import SharedMarketArrays
 from repro.replay import generate_event_stream
-from repro.service import OpportunityService, log_source
+from repro.service import OpportunityService, batch_detect_ranking, log_source
 
 
 def _book(report):
@@ -40,12 +41,10 @@ def _book(report):
     events_per_block=st.integers(0, 5),
     ticks=st.integers(0, 2),
     n_shards=st.integers(1, 4),
-    backend=st.sampled_from(["inline", "process"]),
 )
 @settings(max_examples=8, deadline=None)
 def test_shared_book_equals_private_book(
     market_seed, stream_seed, n_blocks, events_per_block, ticks, n_shards,
-    backend,
 ):
     market = SyntheticMarketGenerator(
         n_tokens=7, n_pools=14, seed=market_seed, price_noise=0.02
@@ -57,17 +56,19 @@ def test_shared_book_equals_private_book(
         seed=stream_seed,
         price_ticks_per_block=ticks,
     )
-    private = OpportunityService(market, n_shards=n_shards, backend=backend)
-    expected = asyncio.run(private.run(log_source(log)))
-    shared = OpportunityService(
-        market, n_shards=n_shards, backend=backend, shared=True
+    private = asyncio.run(
+        OpportunityService(market, n_shards=n_shards).run(log_source(log))
     )
+    shared = OpportunityService(market, n_shards=n_shards, backend="process")
     try:
         report = asyncio.run(shared.run(log_source(log)))
     finally:
         shared.close()
 
-    assert _book(report) == _book(expected)
+    expected = batch_detect_ranking(market, log)
+    assert [(o.profit_usd, o.loop_id) for o in private.book.entries] == expected
+    assert [(o.profit_usd, o.loop_id) for o in report.book.entries] == expected
+    assert _book(report) == _book(private)
     assert report.events_dropped == 0
     assert report.events_ingested == len(log)
 

@@ -20,9 +20,10 @@ table (:mod:`repro.market.weighted_kernel` docstring):
   mints, burns) in the stream, dirty-set tracking still changes when
   work happens, never what is computed.
 
-* **shared ≡ private** — a service running on one shared-memory
-  segment produces a book bit-identical to per-shard private copies
-  when stableswap pools are in the mix.
+* **shared ≡ private ≡ batch detect** — with stableswap pools in the
+  mix, a service on the shared-memory segment (process backend) and
+  one on private in-process columns (inline backend) both produce the
+  book of batch detection, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.market import (
 )
 from repro.market.weighted_kernel import stableswap_quotes
 from repro.replay import ReplayDriver, generate_event_stream
-from repro.service import OpportunityService, log_source
+from repro.service import OpportunityService, batch_detect_ranking, log_source
 from repro.strategies import (
     MaxMaxStrategy,
     MaxPriceStrategy,
@@ -189,7 +190,7 @@ def test_incremental_replay_matches_full_with_stableswap(
 
 
 # ----------------------------------------------------------------------
-# shared ≡ private service books with stableswap pools
+# shared ≡ private ≡ batch-detect service books with stableswap pools
 # ----------------------------------------------------------------------
 
 
@@ -205,11 +206,10 @@ def _book(report):
     stream_seed=st.integers(0, 2**16),
     n_blocks=st.integers(0, 4),
     n_shards=st.integers(1, 3),
-    backend=st.sampled_from(["inline", "process"]),
 )
 @settings(max_examples=6, deadline=None)
 def test_shared_book_equals_private_with_stableswap(
-    market_seed, stream_seed, n_blocks, n_shards, backend
+    market_seed, stream_seed, n_blocks, n_shards
 ):
     market = SyntheticMarketGenerator(
         n_tokens=7, n_pools=14, seed=market_seed, price_noise=0.02,
@@ -218,18 +218,17 @@ def test_shared_book_equals_private_with_stableswap(
     log = generate_event_stream(
         market, n_blocks=n_blocks, events_per_block=4, seed=stream_seed
     )
-    private = OpportunityService(market, n_shards=n_shards, backend=backend)
-    try:
-        expected = asyncio.run(private.run(log_source(log)))
-    finally:
-        private.close()
-    shared = OpportunityService(
-        market, n_shards=n_shards, backend=backend, shared=True
+    private = asyncio.run(
+        OpportunityService(market, n_shards=n_shards).run(log_source(log))
     )
+    shared = OpportunityService(market, n_shards=n_shards, backend="process")
     try:
         report = asyncio.run(shared.run(log_source(log)))
     finally:
         shared.close()
-    assert _book(report) == _book(expected)
+    expected = batch_detect_ranking(market, log)
+    assert [(o.profit_usd, o.loop_id) for o in private.book.entries] == expected
+    assert [(o.profit_usd, o.loop_id) for o in report.book.entries] == expected
+    assert _book(report) == _book(private)
     assert report.events_dropped == 0
     assert report.events_ingested == len(log)

@@ -98,25 +98,6 @@ class TestCommands:
         with pytest.raises(SystemExit, match="not in the"):
             main(["sweep", "--token", "Q"])
 
-    def test_detect_with_jobs(self, capsys):
-        # jobs=1 stays serial; exercises the engine-batched scoring path
-        assert main(["detect", "--top", "2", "--jobs", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "profitable length-3 loops" in out
-
-    def test_detect_scalar_oracle_identical_across_jobs(self, capsys, tmp_path):
-        """--scalar --jobs N is the correctness oracle under the process
-        pool: its ranked CSV must be byte-identical to --scalar --jobs 1
-        (deterministic chunking, order-preserving reassembly)."""
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        assert main(["detect", "--scalar", "--jobs", "1",
-                     "--csv", str(serial)]) == 0
-        assert main(["detect", "--scalar", "--jobs", "2",
-                     "--csv", str(pooled)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == pooled.read_bytes()
-
     def test_detect_scalar_matches_kernel_path(self, capsys, tmp_path):
         kernel = tmp_path / "kernel.csv"
         scalar = tmp_path / "scalar.csv"
@@ -165,18 +146,6 @@ class TestCommands:
             scale, a_in, a_out, profit_units = cells[4:]
             assert scale == str(10**18)
             assert int(a_out) - int(a_in) == int(profit_units)
-
-    def test_detect_exact_byte_stable_across_jobs(self, capsys, tmp_path):
-        """Integer quotes are statements about contract arithmetic, so
-        --exact output must not depend on the worker count."""
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        assert main(["detect", "--exact", "--jobs", "1",
-                     "--csv", str(serial)]) == 0
-        assert main(["detect", "--exact", "--jobs", "4",
-                     "--csv", str(pooled)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_detect_exact_rejects_scalar(self):
         with pytest.raises(SystemExit, match="--exact"):
@@ -292,6 +261,11 @@ class TestCommands:
     def test_serve_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit, match="unknown strategy"):
             main(["serve", "--blocks", "1", "--strategy", "oracle"])
+
+    def test_serve_convex_on_stableswap_exits_with_one_line(self):
+        with pytest.raises(SystemExit, match="no hop constraint for stableswap"):
+            main(["serve", "--blocks", "3", "--pools", "15", "--tokens", "8",
+                  "--strategy", "convex", "--stableswap-fraction", "0.3"])
 
     def test_serve_rejects_bad_shards(self):
         with pytest.raises(SystemExit, match="--shards"):

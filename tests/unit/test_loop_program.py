@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import InfeasibleProgramError, MissingPriceError, PriceMap
+from repro.amm import Pool
+from repro.core import ArbitrageLoop, InfeasibleProgramError, MissingPriceError, PriceMap
+from repro.core.errors import UnsupportedPoolFamilyError
 from repro.optimize import build_loop_program, solve_slsqp
 
 
@@ -50,6 +52,39 @@ class TestBuild:
     def test_invalid_linking(self, s5_loop, s5_prices):
         with pytest.raises(ValueError, match="linking"):
             build_loop_program(s5_loop, s5_prices, linking="bogus")
+
+
+class TestUnsupportedFamily:
+    @pytest.fixture
+    def stableswap_loop(self, tokens_xyz):
+        from repro.amm.stableswap import StableSwapPool
+
+        x, y, z = tokens_xyz
+        pools = [
+            Pool(x, y, 100.0, 210.0, pool_id="ss-xy"),
+            Pool(y, z, 200.0, 100.0, pool_id="ss-yz"),
+            StableSwapPool(z, x, 100.0, 104.0, amplification=50.0,
+                           pool_id="ss-zx"),
+        ]
+        return ArbitrageLoop([x, y, z], pools)
+
+    def test_stableswap_hop_raises_typed_error(
+        self, stableswap_loop, simple_prices
+    ):
+        with pytest.raises(UnsupportedPoolFamilyError) as exc_info:
+            build_loop_program(stableswap_loop, simple_prices)
+        message = str(exc_info.value)
+        assert "stableswap" in message and "'ss-zx'" in message
+        # a ValueError, so the CLI's one-line exit path catches it
+        assert isinstance(exc_info.value, ValueError)
+
+    def test_convex_strategy_surfaces_the_typed_error(
+        self, stableswap_loop, simple_prices
+    ):
+        from repro.strategies import ConvexOptimizationStrategy
+
+        with pytest.raises(UnsupportedPoolFamilyError, match="ss-zx"):
+            ConvexOptimizationStrategy().evaluate(stableswap_loop, simple_prices)
 
 
 class TestInteriorPoint:

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from repro.replay import generate_event_stream
+from repro.market import MarketArrays, PoolHandle
+from repro.replay import generate_event_stream, rebind_loops
 from repro.service import (
     ShardPlan,
     ShardWorker,
@@ -64,19 +65,30 @@ class TestSources:
 
 class TestShardWorker:
     def test_worker_owns_private_state(self, workload):
-        market, _ = workload
-        plan_loops = _loops_for(market)
-        worker = ShardWorker(0, market, plan_loops, MaxMaxStrategy())
-        # mutating the worker's pools must not touch the source market
-        pool = next(iter(worker.market.registry))
-        original = market.registry[pool.pool_id].reserve_of(pool.token0)
-        pool.swap(pool.token0, 1.0)
-        assert market.registry[pool.pool_id].reserve_of(pool.token0) == original
+        market, log = workload
+        worker = _worker(market, _loops_for(market))
+
+        def reserves(pools):
+            return {pool.pool_id: (pool.reserve0, pool.reserve1) for pool in pools}
+
+        before = reserves(market.registry)
+        block, events = next(iter(log.iter_blocks()))
+        worker.process_block(_write(worker.store, block, events))
+        # the store is a private column copy: writing it moved some
+        # pools without touching the source market ...
+        assert reserves(worker.store.to_registry()) != before
+        assert reserves(market.registry) == before
+        # ... and the worker itself holds only reserve-less handles
+        assert all(
+            isinstance(pool, PoolHandle) for loop in worker.loops for pool in loop.pools
+        )
+        assert worker.private_column_nbytes == 0
+        assert worker.handle_nbytes > 0
 
     def test_initial_entries_cover_every_loop(self, workload):
         market, _ = workload
         loops = _loops_for(market)
-        worker = ShardWorker(3, market, loops, MaxMaxStrategy())
+        worker = _worker(market, loops, shard_id=3)
         entries = worker.initial_entries()
         assert len(entries) == len(loops)
         assert {e.shard for e in entries} == {3}
@@ -85,24 +97,19 @@ class TestShardWorker:
     def test_process_block_reevaluates_only_dirty_loops(self, workload):
         market, log = workload
         loops = _loops_for(market)
-        worker = ShardWorker(0, market, loops, MaxMaxStrategy())
+        worker = _worker(market, loops)
         block, events = next(iter(log.iter_blocks()))
-        update = worker.process_block(
-            BlockWork(block=block, events=events, t_ingest=0.0, t_dispatch=0.0)
-        )
+        update = worker.process_block(_write(worker.store, block, events))
         assert update.shard == 0 and update.block == block
         assert update.evaluated == len(update.entries)
-        assert update.evaluated <= len(loops)
-        assert update.cache_hits + update.cache_misses >= 0
+        assert 0 < update.evaluated <= len(loops)
         assert update.eval_s >= 0.0
 
     def test_untouched_block_costs_zero(self, workload):
         market, _ = workload
         loops = _loops_for(market)
-        worker = ShardWorker(0, market, loops, MaxMaxStrategy())
-        update = worker.process_block(
-            BlockWork(block=0, events=(), t_ingest=0.0, t_dispatch=0.0)
-        )
+        worker = _worker(market, loops)
+        update = worker.process_block(_write(worker.store, 0, ()))
         assert update.evaluated == 0
         assert update.entries == ()
 
@@ -115,31 +122,50 @@ def _loops_for(market, length=3):
     return [universe.candidates[i] for i in plan.shard_loops[0]]
 
 
+def _worker(market, loops, shard_id=0, strategy=None):
+    """A worker over a fresh in-process store of ``market``."""
+    return ShardWorker(
+        shard_id,
+        MarketArrays.from_registry(market.registry),
+        loops,
+        strategy if strategy is not None else MaxMaxStrategy(),
+        market.prices,
+    )
+
+
+def _write(store, block, events):
+    """Play the ingest stage: write ``events`` to the store, then build
+    the block's work item."""
+    store.apply_events(events)
+    return BlockWork.from_events(block, events, store.pool_index)
+
+
 def test_generate_stream_feeds_worker_consistently(workload):
-    """A worker fed its routed slice of a stream ends at the same pool
-    states a global replay produces (same invariant the driver has)."""
-    market, _ = workload
-    log = generate_event_stream(market, n_blocks=3, events_per_block=4, seed=2)
-    loops = _loops_for(market)
-    plan = ShardPlan([p.pool_id for p in market.registry], loops, 1)
-    worker = ShardWorker(0, market, loops, MaxMaxStrategy())
-    for block, events in log.iter_blocks():
-        routed = plan.route_block(events).get(0, [])
-        worker.process_block(
-            BlockWork(
-                block=block, events=tuple(routed), t_ingest=0.0, t_dispatch=0.0
-            )
-        )
-    # replaying the whole log onto a fresh copy gives identical reserves
-    # on every pool the worker holds (it holds only its loops' pools)
+    """A worker fed its routed slice of a stream quotes every loop as a
+    global replay's final market state does (same invariant the
+    driver has)."""
     from repro.replay import apply_event
 
+    market, _ = workload
+    log = generate_event_stream(
+        market, n_blocks=3, events_per_block=4, seed=2, price_ticks_per_block=1
+    )
+    loops = _loops_for(market)
+    plan = ShardPlan([p.pool_id for p in market.registry], loops, 1)
+    worker = _worker(market, loops)
+    published = {entry.loop_id: entry for entry in worker.initial_entries()}
+    for block, events in log.iter_blocks():
+        routed = plan.route_block(events).get(0, [])
+        update = worker.process_block(_write(worker.store, block, routed))
+        published.update((entry.loop_id, entry) for entry in update.entries)
+    # replaying the whole log onto a fresh copy gives the same quotes
     copy = market.copy()
     prices = copy.prices
     for event in log:
         prices = apply_event(copy.registry, prices, event, set(), set())
-    assert len(worker.market.registry) <= len(copy.registry)
-    for pool in worker.market.registry:
-        other = copy.registry[pool.pool_id]
-        assert pool.reserve_of(pool.token0) == other.reserve_of(other.token0)
-        assert pool.reserve_of(pool.token1) == other.reserve_of(other.token1)
+    strategy = MaxMaxStrategy()
+    for loop in rebind_loops(loops, copy.registry):
+        expected = strategy.evaluate(loop, prices)
+        entry = published[loop.canonical_id]
+        assert entry.profit_usd == expected.monetized_profit
+        assert entry.amount_in == expected.amount_in

@@ -26,7 +26,7 @@ from repro.market.shm import (
     SegmentLayoutError,
     SharedMarketView,
 )
-from repro.service import SharedBlockWork
+from repro.service import BlockWork
 
 X, Y, Z = Token("X"), Token("Y"), Token("Z")
 
@@ -264,8 +264,10 @@ class TestPoolHandle:
         assert PoolHandle(pool).is_constant_product is False
 
     def test_no_reserve_state(self, registry):
-        # the scalar (object-reading) path must fail loudly, never
-        # quote stale state
+        # reserves live in the columns alone (the scalar route
+        # materialises pool objects from them); a handle that leaked
+        # onto an object-reading path must fail loudly, never quote
+        # stale state
         handle = PoolHandle(registry["xy"])
         for attribute in ("reserve0", "reserve1", "fee", "weight0"):
             with pytest.raises(AttributeError):
@@ -283,9 +285,9 @@ class TestPoolHandle:
 
 
 def test_shared_block_work_pickles_small():
-    # SharedBlockWork carries rows and ticks, never market state — the
+    # BlockWork carries rows and ticks, never market state — the
     # pickle must stay a few hundred bytes regardless of market size
-    work = SharedBlockWork(
+    work = BlockWork(
         block=7,
         epoch=14,
         rows=tuple(range(8)),

@@ -9,7 +9,8 @@ regression coverage:
   arithmetic to a weighted row, and the weighted kernel must agree
   with the scalar chain optimizer exactly.
 * **Service shards** — the same contract for
-  :class:`~repro.service.ShardWorker`'s incremental evaluation.
+  :class:`~repro.service.ShardWorker`'s incremental evaluation over
+  the column store.
 * **No forced scalar path** — mixed CPMM+weighted loop sets route
   entirely through the batch kernels in the engine, replay-incremental
   mode, and shard workers (asserted via ``BatchEvaluator`` stats).
@@ -24,7 +25,8 @@ from repro.amm.weighted import WeightedPool
 from repro.core import PriceMap, Token
 from repro.data import MarketSnapshot
 from repro.engine import EvaluationEngine
-from repro.replay import ReplayDriver, generate_event_stream
+from repro.market import MarketArrays
+from repro.replay import ReplayDriver, apply_event, generate_event_stream, rebind_loops
 from repro.service.worker import BlockWork, ShardWorker
 from repro.strategies import MaxMaxStrategy, MaxPriceStrategy
 
@@ -120,20 +122,37 @@ class TestWeightedReplayParity:
 class TestWeightedShardWorker:
     def _worker(self, market):
         loops = EvaluationEngine().loop_universe(market.registry, 3).candidates
-        return ShardWorker(0, market, loops, MaxMaxStrategy())
+        store = MarketArrays.from_registry(market.registry)
+        return ShardWorker(0, store, loops, MaxMaxStrategy(), market.prices)
+
+    @staticmethod
+    def _feed(worker, stream) -> dict:
+        """Play ingest for every block; return the last published entry
+        per loop id."""
+        published = {entry.loop_id: entry for entry in worker.initial_entries()}
+        for block, events in stream.iter_blocks():
+            worker.store.apply_events(events)
+            update = worker.process_block(
+                BlockWork.from_events(block, events, worker.store.pool_index)
+            )
+            published.update((entry.loop_id, entry) for entry in update.entries)
+        return published
 
     def test_shard_results_match_scalar_after_weighted_events(
         self, mixed_market, mixed_stream
     ):
         worker = self._worker(mixed_market)
-        for block, events in mixed_stream.iter_blocks():
-            worker.process_block(BlockWork(block, tuple(events), 0.0, 0.0))
+        published = self._feed(worker, mixed_stream)
+        copy = mixed_market.copy()
+        prices = copy.prices
+        for event in mixed_stream:
+            prices = apply_event(copy.registry, prices, event, set(), set())
         strategy = MaxMaxStrategy()
-        for loop, result in zip(worker.loops, worker._results):
-            ref = strategy.evaluate_cached(loop, worker.prices, None)
-            assert result.monetized_profit == ref.monetized_profit
-            assert result.amount_in == ref.amount_in
-            assert result.hop_amounts == ref.hop_amounts
+        for loop in rebind_loops(worker.loops, copy.registry):
+            ref = strategy.evaluate_cached(loop, prices, None)
+            entry = published[loop.canonical_id]
+            assert entry.profit_usd == ref.monetized_profit
+            assert entry.amount_in == ref.amount_in
 
     def test_shard_weighted_loops_not_forced_scalar(
         self, mixed_market, mixed_stream
@@ -141,8 +160,7 @@ class TestWeightedShardWorker:
         worker = self._worker(mixed_market)
         assert worker.evaluator_stats.scalar_loops == 0  # priming pass
         worker._evaluator.min_batch = 1
-        for block, events in mixed_stream.iter_blocks():
-            worker.process_block(BlockWork(block, tuple(events), 0.0, 0.0))
+        self._feed(worker, mixed_stream)
         assert worker.evaluator_stats.scalar_loops == 0
         assert worker.evaluator_stats.kernel_loops > 0
 
