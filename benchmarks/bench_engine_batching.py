@@ -8,13 +8,14 @@ MaxMax) over the §V loop:
   (strategy, point), no cache, no vectorization;
 * ``batched``  — ``EvaluationEngine`` with the vectorized numpy grid
   kernels and the shared rotation cache (the default everywhere now);
-* ``parallel`` — the same grid forced down the scalar path but fanned
-  over a ``ProcessPoolExecutor`` (chunked, deterministic order).
+* ``parallel`` — the same grid forced down the point-by-point walk
+  (``vectorize=False``) but fanned over two worker processes
+  (``jobs=2``: contiguous chunks, reassembled in grid order).
 
 Checks: batched matches scalar within 1e-9 relative tolerance at every
 point (in practice they are bit-identical) and is >= 3x faster — the
-PR's acceptance criterion; the parallel executor agrees exactly with
-the serial order.
+acceptance floor; the parallel walk agrees exactly with the serial
+order.
 
 Also micro-benchmarks ``rotation_state_key``: the static prefix (pool
 ids, symbols, fees) is precomputed per loop, so a cache lookup only
@@ -29,7 +30,7 @@ import time
 import numpy as np
 
 from repro.data.example import TOKEN_X, section5_loop, section5_prices
-from repro.engine import EvaluationEngine, ParallelExecutor
+from repro.engine import EvaluationEngine
 from repro.strategies import MaxMaxStrategy, TraditionalStrategy
 
 GRID = np.linspace(0.0, 20.0, 101)
@@ -150,11 +151,11 @@ def test_parallel_executor_matches_serial():
     base_prices = section5_prices()
     serial = _engine_sweep(loop, strategies, base_prices)
 
-    engine = EvaluationEngine(
-        executor=ParallelExecutor(max_workers=2), vectorize=False
-    )
+    engine = EvaluationEngine(vectorize=False)
     t0 = time.perf_counter()
-    parallel = engine.sweep_results(strategies, loop, base_prices, TOKEN_X, GRID)
+    parallel = engine.sweep_results(
+        strategies, loop, base_prices, TOKEN_X, GRID, jobs=2
+    )
     parallel_s = time.perf_counter() - t0
     print(f"\nparallel scalar sweep: {parallel_s * 1e3:.1f} ms on 2 workers")
 

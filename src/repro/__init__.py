@@ -63,14 +63,7 @@ from .data import (
     section5_snapshot,
     synthetic_loop,
 )
-from .engine import (
-    EvaluationBatch,
-    EvaluationEngine,
-    EvaluationRequest,
-    ParallelExecutor,
-    PoolStateCache,
-    SerialExecutor,
-)
+from .engine import EvaluationEngine, PoolStateCache
 from .execution import (
     ExecutionPlan,
     ExecutionReceipt,
@@ -124,9 +117,7 @@ __all__ = [
     "BatchEvaluator",
     "ConvexOptimizationStrategy",
     "DEFAULT_FEE",
-    "EvaluationBatch",
     "EvaluationEngine",
-    "EvaluationRequest",
     "ExecutionPlan",
     "ExecutionReceipt",
     "ExecutionSimulator",
@@ -141,7 +132,6 @@ __all__ = [
     "Opportunity",
     "OpportunityBook",
     "OpportunityService",
-    "ParallelExecutor",
     "Pool",
     "PoolRegistry",
     "PoolStateCache",
@@ -154,7 +144,6 @@ __all__ = [
     "ReplayResult",
     "ReproError",
     "Rotation",
-    "SerialExecutor",
     "ServiceMetrics",
     "ServiceReport",
     "ShardPlan",

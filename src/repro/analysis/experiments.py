@@ -190,8 +190,8 @@ def fig3_convex_vs_maxmax_sweep(
 ) -> SweepSeries:
     """Fig. 3: Convex vs MaxMax monetized profit, sweeping Px.
 
-    MaxMax rides the vectorized fast path; the convex strategy is
-    price-dependent and falls back to the scalar walk (its internal
+    MaxMax takes the price-grid kernel; the convex strategy is
+    price-dependent and walks the grid point by point (its internal
     MaxMax floor still hits the shared cache).
     """
     loop = section5_loop()

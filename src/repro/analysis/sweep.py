@@ -74,6 +74,7 @@ def price_sweep(
     grid,
     strategies: dict[str, Strategy],
     engine: EvaluationEngine | None = None,
+    jobs: int = 1,
 ) -> SweepSeries:
     """Evaluate ``strategies`` on ``loop`` as ``token``'s price sweeps.
 
@@ -82,15 +83,17 @@ def price_sweep(
     appear multiple times (e.g. three differently-anchored
     ``TraditionalStrategy`` instances for Fig. 2).
 
-    The whole sweep is one :class:`~repro.engine.EvaluationEngine`
-    job: closed-form strategies take the vectorized grid fast path,
-    everything else falls back to the scalar walk (optionally
-    parallelized by the engine's executor).  Pass ``engine`` to share
-    its cache/executor across sweeps; the default builds a fresh
-    serial engine.
+    The whole sweep is one
+    :meth:`~repro.engine.EvaluationEngine.sweep_results` call: the
+    fixed-start strategies take the price-grid kernels on every pool
+    family, everything else walks the grid point by point (over
+    ``jobs`` worker processes when ``jobs > 1``).  Pass ``engine`` to
+    share its cache across sweeps; the default builds a fresh one.
     """
     engine = engine if engine is not None else EvaluationEngine()
-    per_label = engine.sweep_results(strategies, loop, base_prices, token, grid)
+    per_label = engine.sweep_results(
+        strategies, loop, base_prices, token, grid, jobs=jobs
+    )
     points = []
     for index, price in enumerate(grid):
         results = {label: per_label[label][index] for label in strategies}

@@ -17,8 +17,8 @@ Examples::
 (Equivalently ``python -m repro ...``.)
 
 Every evaluation-heavy command routes through the batched
-:class:`~repro.engine.EvaluationEngine`; ``--jobs N`` (where offered)
-swaps in the process-pool executor.
+:class:`~repro.engine.EvaluationEngine`; ``sweep --jobs N`` fans the
+strategies without a grid kernel (convex) over N worker processes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from . import analysis
 from .analysis import report
 from .data.synthetic import paper_market
-from .engine import EvaluationEngine, ParallelExecutor
+from .engine import EvaluationEngine
 
 __all__ = ["main", "build_parser", "package_version"]
 
@@ -50,15 +50,6 @@ def package_version() -> str:
         from importlib.metadata import version
 
         return version("repro-arb")
-
-
-def _make_engine(jobs: int | None) -> EvaluationEngine:
-    """Serial engine for ``--jobs 1``; process-pool backed above that."""
-    if jobs is not None and jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {jobs}")
-    if jobs is not None and jobs > 1:
-        return EvaluationEngine(executor=ParallelExecutor(max_workers=jobs))
-    return EvaluationEngine()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=float, default=20.0, dest="max_price")
     p.add_argument("--step", type=float, default=0.2)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for non-vectorizable strategies")
+                   help="worker processes for strategies without a grid "
+                   "kernel, e.g. convex")
     p.add_argument("--csv", help="write the series to a CSV file")
 
     p = sub.add_parser("harvest", help="sequential greedy harvest of a snapshot")
@@ -566,18 +558,15 @@ def _cmd_sweep(args) -> None:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     if not names:
         raise SystemExit("--strategies needs at least one strategy name")
+    if args.jobs < 1:
+        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     try:
         strategies = {name: make_strategy(name) for name in names}
         grid = analysis.paper_px_grid(max_price=args.max_price, step=args.step)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     series = analysis.price_sweep(
-        loop,
-        section5_prices(),
-        token,
-        grid,
-        strategies,
-        engine=_make_engine(args.jobs),
+        loop, section5_prices(), token, grid, strategies, jobs=args.jobs
     )
     title = f"engine sweep of P{args.token} ({', '.join(strategies)})"
     print(report.render_sweep(series, title=title))

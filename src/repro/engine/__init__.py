@@ -5,40 +5,22 @@ Public surface:
 
 * :class:`EvaluationEngine` — the orchestrator every consumer routes
   through (sweeps, figures, harvest, simulation, CLI);
-* :class:`EvaluationRequest` / :class:`EvaluationBatch` /
-  :class:`BatchResult` — the job model;
-* :class:`SerialExecutor` / :class:`ParallelExecutor` — execution
-  backends with identical, deterministic results;
 * :class:`PoolStateCache` — reserve-keyed memoization of
   price-independent rotation quotes;
 * :class:`LoopUniverse` — topology-cached candidate loops with cheap
   per-block profitability re-filtering;
-* the vectorized grid kernels in :mod:`repro.engine.vectorized`.
+* the price-grid kernels in :mod:`repro.engine.vectorized`.
 """
 
 from .cache import PoolStateCache, RotationQuote, rotation_state_key
 from .core import EvaluationEngine, LoopUniverse
-from .executors import Executor, ParallelExecutor, SerialExecutor
-from .request import BatchResult, EvaluationBatch, EvaluationRequest
-from .vectorized import (
-    is_vectorizable_loop,
-    maxmax_grid,
-    maxprice_grid,
-    traditional_grid,
-)
+from .vectorized import maxmax_grid, maxprice_grid, traditional_grid
 
 __all__ = [
-    "BatchResult",
-    "EvaluationBatch",
     "EvaluationEngine",
-    "EvaluationRequest",
-    "Executor",
     "LoopUniverse",
-    "ParallelExecutor",
     "PoolStateCache",
     "RotationQuote",
-    "SerialExecutor",
-    "is_vectorizable_loop",
     "maxmax_grid",
     "maxprice_grid",
     "rotation_state_key",

@@ -58,9 +58,8 @@ def rotation_state_key(rotation: Rotation, method: str) -> tuple:
 class PoolStateCache:
     """LRU cache of :class:`RotationQuote` objects keyed on reserves.
 
-    Thread-compatible for the serial executor; the process-pool
-    executor gives each worker chunk its own instance instead of
-    sharing one across processes.
+    Not shared across processes: a parallel sweep gives each chunk of
+    grid points its own instance.
     """
 
     __slots__ = ("_entries", "maxsize", "hits", "misses")
@@ -89,26 +88,6 @@ class PoolStateCache:
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return quote
-
-    # ------------------------------------------------------------------
-    # bulk transfer (parallel executor seeding / merge-back)
-    # ------------------------------------------------------------------
-
-    def export_entries(self) -> dict[tuple, RotationQuote]:
-        """Snapshot of the stored quotes, for seeding worker caches."""
-        return dict(self._entries)
-
-    def merge_entries(self, entries: dict[tuple, RotationQuote]) -> None:
-        """Absorb quotes computed elsewhere (e.g. in worker processes).
-
-        Keys are reserve-exact, so merged entries are as sound as
-        locally computed ones; normal LRU eviction applies.
-        """
-        for key, quote in entries.items():
-            self._entries[key] = quote
-            self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------
     # introspection

@@ -8,23 +8,23 @@ CLI — routes through.  It composes three independent accelerations:
 * a reserve-keyed :class:`~repro.engine.cache.PoolStateCache`, so
   repeated evaluations of unchanged loops (across strategies, rounds,
   or price points) pay for the optimization once;
-* a pluggable :class:`~repro.engine.executors.Executor` — serial by
-  default, ``ProcessPoolExecutor``-backed with deterministic chunking
-  via :class:`~repro.engine.executors.ParallelExecutor`;
-* the vectorized numpy grid kernels (:mod:`repro.engine.vectorized`)
-  for the closed-form strategies, reached through each strategy's
-  ``evaluate_grid`` override, with automatic scalar fallback for
-  weighted pools and the convex strategy;
 * the cross-loop batch kernels (:mod:`repro.market`): loops-at-one-
-  price-map calls on the serial executor compile *every* loop —
-  constant-product and weighted alike, on any of the three fixed-start
-  solvers — into hop-index matrices over columnar reserves and quote
-  them per rotation in one vectorized pass (closed form for CPMM
-  groups, batched chain-rule/iterative solvers otherwise), with scalar
-  fallback only for non-batchable strategies and tiny slices.
+  price-map calls compile *every* loop — constant-product, weighted
+  and stableswap alike, on any of the three fixed-start solvers —
+  into hop-index matrices over columnar reserves and quote them per
+  rotation in one vectorized pass (closed form for CPMM groups,
+  batched chain-rule/iterative solvers otherwise), with scalar
+  fallback only for non-batchable strategies and tiny slices;
+* the price-grid kernels (:mod:`repro.engine.vectorized`): one loop
+  swept across a price grid quotes each rotation once and monetizes
+  the whole grid in one array pass, on every pool family.  Strategies
+  without a kernel (convex, subclasses) walk the grid point by point,
+  optionally fanned over worker processes (``jobs=``).
 
-Results are always identical to the scalar path — the engine changes
-*when* work happens, never *what* is computed.
+Both kernel routes serve exactly the strategies
+:func:`~repro.market.batch_kind` admits.  Results are always identical
+to the scalar path — the engine changes *when* work happens, never
+*what* is computed.
 
 :class:`LoopUniverse` complements it on the detection side: loop
 *topology* (which token cycles exist, through which pools) depends
@@ -35,7 +35,11 @@ re-filter cheaply.
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from ..amm.pool import Pool
@@ -46,8 +50,6 @@ from ..graph.cycles import enumerate_token_cycles, expand_cycle_to_loops
 from ..strategies.base import Strategy, StrategyResult
 from ..telemetry import trace
 from .cache import PoolStateCache
-from .executors import Executor, SerialExecutor
-from .request import BatchResult, EvaluationBatch
 
 __all__ = ["EvaluationEngine", "LoopUniverse"]
 
@@ -55,6 +57,11 @@ __all__ = ["EvaluationEngine", "LoopUniverse"]
 #: compile + numpy dispatch overhead only pays for itself across tens
 #: of loops.
 _MIN_BATCH_LOOPS = 16
+
+#: A parallel grid walk splits its points into about this many
+#: contiguous chunks per worker, so a worker that drew cheap points
+#: picks up more instead of idling behind a slow one.
+_CHUNKS_PER_JOB = 4
 
 
 class LoopUniverse:
@@ -102,32 +109,45 @@ def _universe_key(pools: Sequence[Pool], length: int) -> tuple:
     )
 
 
+def _walk_points(
+    strategies: Mapping[str, Strategy],
+    loop: ArbitrageLoop,
+    price_maps: Sequence[PriceMap],
+    cache: PoolStateCache | None = None,
+) -> dict[str, list[StrategyResult]]:
+    """Each strategy at each price map, point by point.  Process-pool
+    workers call it without ``cache`` and quote through a chunk-local
+    one."""
+    cache = cache if cache is not None else PoolStateCache()
+    return {
+        label: [
+            strategy.evaluate_cached(loop, prices, cache) for prices in price_maps
+        ]
+        for label, strategy in strategies.items()
+    }
+
+
 class EvaluationEngine:
-    """Batched strategy evaluation with caching, executors, and the
-    vectorized grid fast path.
+    """Batched strategy evaluation with a shared rotation cache, the
+    cross-loop batch kernels and the price-grid kernels.
 
     Parameters
     ----------
-    executor:
-        Batch execution backend; default :class:`SerialExecutor`.
     cache:
         A shared :class:`PoolStateCache`; pass ``None`` to get a fresh
         one, or an existing cache to share quotes across engines.
     vectorize:
-        When True (default) grid evaluations go through each
-        strategy's ``evaluate_grid`` (the numpy fast path for the
-        closed-form strategies); when False every point is evaluated
-        scalar through the executor — useful for benchmarking and as a
-        correctness oracle.
+        When True (default) loop batches and price sweeps take the
+        kernels for every strategy :func:`~repro.market.batch_kind`
+        admits; when False everything is evaluated scalar through the
+        cache — useful for benchmarking and as a correctness oracle.
     """
 
     def __init__(
         self,
-        executor: Executor | None = None,
         cache: PoolStateCache | None = None,
         vectorize: bool = True,
     ):
-        self.executor = executor if executor is not None else SerialExecutor()
         self.cache = cache if cache is not None else PoolStateCache()
         self.vectorize = vectorize
         # Universes hold strong references to every candidate loop (and
@@ -146,8 +166,7 @@ class EvaluationEngine:
 
     def __repr__(self) -> str:
         return (
-            f"EvaluationEngine(executor={self.executor!r}, "
-            f"vectorize={self.vectorize}, cache={self.cache!r})"
+            f"EvaluationEngine(vectorize={self.vectorize}, cache={self.cache!r})"
         )
 
     # ------------------------------------------------------------------
@@ -160,35 +179,17 @@ class EvaluationEngine:
         """One evaluation through the shared cache."""
         return strategy.evaluate_cached(loop, prices, self.cache)
 
-    def run(self, batch: EvaluationBatch) -> BatchResult:
-        """Execute a batch on the configured executor, in order."""
-        results = self.executor.run(batch.requests, cache=self.cache)
-        return BatchResult(requests=batch.requests, results=tuple(results))
-
     def evaluate_strategy(
         self,
         strategy: Strategy,
         loops: Sequence[ArbitrageLoop],
         prices: PriceMap,
     ) -> list[StrategyResult]:
-        """One strategy over many loops at one price map.
-
-        On the serial executor, loops under a fixed-start strategy
-        (any solver method, weighted hops included) take the
-        cross-loop batch kernels; everything else — and everything
-        when ``vectorize=False`` — evaluates scalar, with identical
-        numbers either way.
-        """
-        if isinstance(self.executor, SerialExecutor):
-            picked = self._batch_evaluator([strategy], loops)
-            if picked is not None:
-                evaluator, indices = picked
-                return evaluator.evaluate_many(
-                    strategy, prices, indices=indices, cache=self.cache
-                )
-            return strategy.evaluate_many(loops, prices, cache=self.cache)
-        batch = EvaluationBatch.cross({strategy.name: strategy}, loops, prices)
-        return list(self.run(batch).results)
+        """One strategy over many loops at one price map
+        (:meth:`evaluate_loops` with one label)."""
+        return self.evaluate_loops({strategy.name: strategy}, loops, prices)[
+            strategy.name
+        ]
 
     def evaluate_loops(
         self,
@@ -198,21 +199,16 @@ class EvaluationEngine:
     ) -> dict[str, list[StrategyResult]]:
         """Several labeled strategies over many loops at one price map.
 
-        The batch evaluator (arrays + compiled hop matrices) is built
-        once and shared across all labels.
+        Loops under a fixed-start strategy (any solver method, weighted
+        and stableswap hops included) take the cross-loop batch
+        kernels; everything else — and everything when
+        ``vectorize=False`` — evaluates scalar, with identical numbers
+        either way.  The batch evaluator (arrays + compiled hop
+        matrices) is built once and shared across all labels.
         """
         with trace.span(
             "engine.evaluate_loops", loops=len(loops), strategies=len(strategies)
         ):
-            return self._evaluate_loops(strategies, loops, prices)
-
-    def _evaluate_loops(
-        self,
-        strategies: Mapping[str, Strategy],
-        loops: Sequence[ArbitrageLoop],
-        prices: PriceMap,
-    ) -> dict[str, list[StrategyResult]]:
-        if isinstance(self.executor, SerialExecutor):
             picked = self._batch_evaluator(strategies.values(), loops)
             if picked is not None:
                 evaluator, indices = picked
@@ -226,10 +222,6 @@ class EvaluationEngine:
                 label: strategy.evaluate_many(loops, prices, cache=self.cache)
                 for label, strategy in strategies.items()
             }
-        batch = EvaluationBatch.cross(strategies, loops, prices)
-        grouped = self.run(batch).by_label()
-        # preserve the caller's label order, including empty loop lists
-        return {label: grouped.get(label, []) for label in strategies}
 
     def _batch_evaluator(self, strategies, loops):
         """``(evaluator, indices)`` routing ``loops`` through the batch
@@ -271,39 +263,76 @@ class EvaluationEngine:
         base_prices: PriceMap,
         token: Token,
         grid,
+        jobs: int = 1,
     ) -> dict[str, list[StrategyResult]]:
         """Every strategy across a price grid of one token.
 
-        Strategies with a vectorized ``evaluate_grid`` override take
-        the numpy fast path; the rest (and everything when
-        ``vectorize=False``) go point-by-point through the executor.
+        Strategies :func:`~repro.market.batch_kind` admits (the exact
+        Traditional, MaxPrice and MaxMax classes) take the price-grid
+        kernels on every pool family; the rest — convex, subclasses,
+        unknown solver methods, and everything when
+        ``vectorize=False`` — walk the grid point by point.  ``jobs``
+        worker processes share the walk in contiguous chunks of grid
+        points, reassembled in grid order; only the wall-clock time
+        depends on it.
         """
-        from .vectorized import is_vectorizable_loop
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        from ..market import batch_kind
+        from .vectorized import grid_results
 
         out: dict[str, list[StrategyResult]] = {}
-        vectorizable_loop = is_vectorizable_loop(loop)
-        scalar_labels: dict[str, Strategy] = {}
+        walked: dict[str, Strategy] = {}
         for label, strategy in strategies.items():
-            has_fast_path = (
-                type(strategy).evaluate_grid is not Strategy.evaluate_grid
-            )
-            if self.vectorize and has_fast_path and vectorizable_loop:
-                out[label] = strategy.evaluate_grid(
-                    loop, base_prices, token, grid, cache=self.cache
-                )
+            kind = batch_kind(strategy) if self.vectorize else None
+            if kind is None:
+                walked[label] = strategy
             else:
-                scalar_labels[label] = strategy
-        if scalar_labels:
-            # one batch for every scalar series: the executor (and any
-            # process-pool spin-up) is paid once, not once per label
-            batch = EvaluationBatch.sweep(
-                scalar_labels, loop, base_prices, token, grid
-            )
-            grouped = self.run(batch).by_label()
-            for label in scalar_labels:
-                out[label] = grouped.get(label, [])
+                out[label] = grid_results(
+                    kind, strategy, loop, base_prices, token, grid, self.cache
+                )
+        if walked:
+            price_maps = [
+                base_prices.with_price(token, float(price)) for price in grid
+            ]
+            out.update(self._walk(walked, loop, price_maps, jobs))
         # preserve the caller's label order
         return {label: out[label] for label in strategies}
+
+    def _walk(
+        self,
+        strategies: Mapping[str, Strategy],
+        loop: ArbitrageLoop,
+        price_maps: Sequence[PriceMap],
+        jobs: int,
+    ) -> dict[str, list[StrategyResult]]:
+        """Each strategy at each price map — in process through the
+        shared cache, or over a process pool when ``jobs > 1``.
+
+        The pool's ``map`` yields chunk results in submission order
+        whatever order the workers finish in, so the concatenation is
+        in grid order.  Workers start by ``spawn`` (numpy's BLAS threads
+        make forking this process unsafe) from a fresh import and get
+        everything they need in the chunk arguments; each chunk quotes
+        through its own :class:`PoolStateCache`.
+        """
+        size = max(1, math.ceil(len(price_maps) / (jobs * _CHUNKS_PER_JOB)))
+        chunks = [
+            price_maps[i : i + size] for i in range(0, len(price_maps), size)
+        ]
+        workers = min(jobs, len(chunks))
+        if workers <= 1:
+            return _walk_points(strategies, loop, price_maps, self.cache)
+        out: dict[str, list[StrategyResult]] = {label: [] for label in strategies}
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            for part in pool.map(
+                _walk_points, repeat(strategies), repeat(loop), chunks
+            ):
+                for label, results in part.items():
+                    out[label].extend(results)
+        return out
 
     # ------------------------------------------------------------------
     # loop detection

@@ -18,9 +18,12 @@ MaxPrice's column argmax over symbol-sorted rows mirrors
 :meth:`repro.core.types.PriceMap.max_price_token`'s
 ``(-price, symbol)`` ordering.
 
-Only constant-product loops take this path (see
-:func:`is_vectorizable_loop`); weighted pools and the convex strategy
-fall back to the scalar walk.
+The kernels cover every pool family: a weighted or stableswap rotation
+is quoted by the same ``rotation_quote`` (its chain-rule optimizer)
+on both routes.  :func:`grid_results` dispatches on
+:func:`repro.market.batch_kind`, so only the exact Traditional,
+MaxPrice and MaxMax classes take this path; convex and subclasses walk
+the grid point by point.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from ..core.loop import ArbitrageLoop, Rotation
 from ..core.types import PriceMap, ProfitVector, Token
-from ..strategies.base import StrategyResult
+from ..strategies.base import Strategy, StrategyResult
 from ..strategies.traditional import (
     RotationQuote,
     quote_profit_vector,
@@ -38,17 +41,33 @@ from ..strategies.traditional import (
 )
 
 __all__ = [
-    "is_vectorizable_loop",
+    "grid_results",
     "traditional_grid",
     "maxmax_grid",
     "maxprice_grid",
 ]
 
 
-def is_vectorizable_loop(loop: ArbitrageLoop) -> bool:
-    """True iff every hop is constant-product (the closed-form family)."""
-    return all(
-        getattr(pool, "is_constant_product", True) for pool in loop.pools
+def grid_results(
+    kind: str,
+    strategy: Strategy,
+    loop: ArbitrageLoop,
+    base_prices: PriceMap,
+    token: Token,
+    grid,
+    cache=None,
+) -> list[StrategyResult]:
+    """``strategy``'s results across the grid through the kernel for its
+    batch ``kind`` (``"traditional"``, ``"maxprice"`` or ``"maxmax"``,
+    as :func:`repro.market.batch_kind` names it)."""
+    if kind == "traditional":
+        return traditional_grid(
+            strategy.rotation(loop), base_prices, token, grid,
+            strategy.name, strategy.method, cache,
+        )
+    kernel = maxprice_grid if kind == "maxprice" else maxmax_grid
+    return kernel(
+        loop, base_prices, token, grid, strategy.name, strategy.method, cache
     )
 
 

@@ -361,7 +361,6 @@ class BatchEvaluator:
         cache=None,
         *,
         threshold: float | None = None,
-        stored: Sequence[float] | None = None,
     ) -> list[StrategyResult]:
         """Evaluate ``strategy`` on the loops at ``indices`` (all loops
         when ``None``); result ``i`` answers ``indices[i]``.
@@ -373,13 +372,7 @@ class BatchEvaluator:
         With ``threshold`` the evaluation is two-phase: a vectorized
         bound pass first proves which loops cannot reach ``threshold``
         (nor any positive profit), and only the surviving rows get an
-        exact quote — pruned rows return ``None``.  ``stored``
-        (aligned with ``indices``) additionally protects loops whose
-        *last known* profit still matters: a loop is pruned only when
-        its bound **and** its stored profit are both below (see
-        :func:`~repro.market.bounds.below_threshold`), so a formerly
-        profitable book entry is always re-quoted until its displaced
-        value is actually republished.
+        exact quote — pruned rows return ``None``.
         """
         positions = (
             list(indices) if indices is not None else list(range(len(self.loops)))
@@ -389,9 +382,6 @@ class BatchEvaluator:
         if threshold is not None and kind is not None and positions:
             bounds = self.monetized_bounds(strategy, prices, positions)
             prunable = below_threshold(bounds, threshold)
-            if stored is not None:
-                stored_arr = np.asarray(list(stored), dtype=np.float64)
-                prunable &= below_threshold(stored_arr, threshold)
             pruned = {
                 position
                 for position, out in zip(positions, prunable)

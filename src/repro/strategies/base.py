@@ -73,19 +73,20 @@ class StrategyResult:
 class Strategy(abc.ABC):
     """Evaluate arbitrage loops under a CEX price map.
 
-    Besides the scalar :meth:`evaluate`, every strategy exposes three
-    batched entry points used by the evaluation engine
+    Besides the scalar :meth:`evaluate`, every strategy exposes two
+    cache-aware entry points used by the evaluation engine
     (:mod:`repro.engine`):
 
     * :meth:`evaluate_cached` — one loop, with an optional
       :class:`~repro.engine.cache.PoolStateCache` so repeated
       evaluations of an unchanged loop reuse the price-independent
       optimization work;
-    * :meth:`evaluate_many` — a batch of loops at one price map;
-    * :meth:`evaluate_grid` — one loop across a whole price grid
-      (one token's price swept).  The closed-form strategies override
-      this with a vectorized numpy pass; the default walks the grid
-      point by point.
+    * :meth:`evaluate_many` — a batch of loops at one price map.
+
+    The engine's kernels (cross-loop batches, price grids) stand in
+    for these only on the exact fixed-start classes
+    (:func:`repro.market.batch_kind`); a subclass is always evaluated
+    through its own methods.
     """
 
     #: Human-readable name used in results, reports, and figures.
@@ -114,29 +115,6 @@ class Strategy(abc.ABC):
     ) -> list[StrategyResult]:
         """Evaluate a batch of loops (used by the empirical pipeline)."""
         return [self.evaluate_cached(loop, prices, cache) for loop in loops]
-
-    def evaluate_grid(
-        self,
-        loop: ArbitrageLoop,
-        base_prices: PriceMap,
-        token,
-        grid,
-        *,
-        cache=None,
-    ) -> list[StrategyResult]:
-        """Evaluate ``loop`` as ``token``'s price sweeps over ``grid``.
-
-        Returns one result per grid value, in grid order.  The default
-        is the scalar walk :func:`repro.analysis.sweep.price_sweep`
-        historically performed; closed-form strategies override it
-        with the vectorized fast path.
-        """
-        return [
-            self.evaluate_cached(
-                loop, base_prices.with_price(token, float(price)), cache
-            )
-            for price in grid
-        ]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -54,20 +54,3 @@ class MaxMaxStrategy(Strategy):
         assert best is not None  # loops have >= 2 rotations
         best.details["per_rotation"] = per_rotation
         return best
-
-    def evaluate_grid(self, loop, base_prices, token, grid, *, cache=None):
-        from ..engine.vectorized import is_vectorizable_loop, maxmax_grid
-
-        if not is_vectorizable_loop(loop):
-            return super().evaluate_grid(
-                loop, base_prices, token, grid, cache=cache
-            )
-        return maxmax_grid(
-            loop,
-            base_prices,
-            token,
-            grid,
-            strategy_name=self.name,
-            method=self.method,
-            cache=cache,
-        )

@@ -40,20 +40,3 @@ class MaxPriceStrategy(Strategy):
         return rotation_result(
             rotation, prices, strategy_name=self.name, method=self.method, cache=cache
         )
-
-    def evaluate_grid(self, loop, base_prices, token, grid, *, cache=None):
-        from ..engine.vectorized import is_vectorizable_loop, maxprice_grid
-
-        if not is_vectorizable_loop(loop):
-            return super().evaluate_grid(
-                loop, base_prices, token, grid, cache=cache
-            )
-        return maxprice_grid(
-            loop,
-            base_prices,
-            token,
-            grid,
-            strategy_name=self.name,
-            method=self.method,
-            cache=cache,
-        )

@@ -202,30 +202,14 @@ class TraditionalStrategy(Strategy):
     def evaluate_cached(
         self, loop: ArbitrageLoop, prices: PriceMap, cache=None
     ) -> StrategyResult:
-        rotation = self._rotation(loop)
+        rotation = self.rotation(loop)
         return rotation_result(
             rotation, prices, strategy_name=self.name, method=self.method, cache=cache
         )
 
-    def evaluate_grid(self, loop, base_prices, token, grid, *, cache=None):
-        from ..engine.vectorized import is_vectorizable_loop, traditional_grid
-
-        if not is_vectorizable_loop(loop):
-            return super().evaluate_grid(
-                loop, base_prices, token, grid, cache=cache
-            )
-        rotation = self._rotation(loop)
-        return traditional_grid(
-            rotation,
-            base_prices,
-            token,
-            grid,
-            strategy_name=self.name,
-            method=self.method,
-            cache=cache,
-        )
-
-    def _rotation(self, loop: ArbitrageLoop) -> Rotation:
+    def rotation(self, loop: ArbitrageLoop) -> Rotation:
+        """The rotation of ``loop`` this strategy trades: the one
+        starting at its numeraire."""
         start = self.start_token if self.start_token is not None else loop.tokens[0]
         if start not in loop.tokens:
             raise StrategyError(

@@ -98,6 +98,10 @@ class TestCommands:
         with pytest.raises(SystemExit, match="not in the"):
             main(["sweep", "--token", "Q"])
 
+    def test_sweep_rejects_bad_jobs(self):
+        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
+            main(["sweep", "--jobs", "0"])
+
     def test_detect_scalar_matches_kernel_path(self, capsys, tmp_path):
         kernel = tmp_path / "kernel.csv"
         scalar = tmp_path / "scalar.csv"

@@ -1,13 +1,15 @@
 """Unit tests for the batched evaluation engine.
 
-Covers the job model (requests / batches / results), the
-reserve-keyed rotation cache, both executors, the vectorized sweep
-fast path, and the topology-cached loop universe.  The contract under
-test throughout: the engine changes *when* work happens, never *what*
-is computed.
+Covers the reserve-keyed rotation cache, the price-grid kernels and
+the point-by-point sweep walk (in process and over worker processes),
+and the topology-cached loop universe.  The contract under test
+throughout: the engine changes *when* work happens, never *what* is
+computed.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +18,9 @@ from repro.core import PriceMap, Token
 from repro.data import paper_market
 from repro.data.example import TOKEN_X
 from repro.engine import (
-    EvaluationBatch,
     EvaluationEngine,
     LoopUniverse,
-    ParallelExecutor,
     PoolStateCache,
-    SerialExecutor,
-    is_vectorizable_loop,
     rotation_state_key,
 )
 from repro.graph.build import build_token_graph
@@ -96,94 +94,71 @@ class TestPoolStateCache:
             PoolStateCache(maxsize=0)
 
 
-class TestBatchModel:
-    def test_cross_order_is_strategy_major(self, s5_loop, s5_prices):
-        loops = [s5_loop, s5_loop.reversed()]
-        strategies = {"a": MaxMaxStrategy(), "b": MaxPriceStrategy()}
-        batch = EvaluationBatch.cross(strategies, loops, s5_prices)
-        assert [r.label for r in batch] == ["a", "a", "b", "b"]
-        assert [r.loop_index for r in batch] == [0, 1, 0, 1]
-
-    def test_sweep_builds_one_price_map_per_point(self, s5_loop, s5_prices):
-        batch = EvaluationBatch.sweep(
-            {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, [1.0, 2.0]
-        )
-        assert len(batch) == 2
-        assert [r.prices[TOKEN_X] for r in batch] == [1.0, 2.0]
-        assert [r.price_index for r in batch] == [0, 1]
-
-    def test_batch_result_by_label(self, s5_loop, s5_prices):
-        strategies = {"a": MaxMaxStrategy(), "b": MaxPriceStrategy()}
-        batch = EvaluationBatch.cross(strategies, [s5_loop], s5_prices)
-        result = EvaluationEngine().run(batch)
-        grouped = result.by_label()
-        assert set(grouped) == {"a", "b"}
-        assert grouped["a"][0].monetized_profit == pytest.approx(205.6, abs=0.1)
-
-    def test_mismatched_results_rejected(self, s5_loop, s5_prices):
-        from repro.engine import BatchResult
-
-        batch = EvaluationBatch.cross({"a": MaxMaxStrategy()}, [s5_loop], s5_prices)
-        with pytest.raises(ValueError, match="requests"):
-            BatchResult(requests=batch.requests, results=())
-
-
 class TestExecutors:
+    """The point-by-point walk behind ``sweep_results``: in process at
+    ``jobs=1``, over a process pool in contiguous grid chunks above."""
+
     def test_serial_matches_direct_evaluation(self, s5_loop, s5_prices):
-        batch = EvaluationBatch.sweep(
-            _sweep_strategies(s5_loop), s5_loop, s5_prices, TOKEN_X, SMALL_GRID
+        strategies = _sweep_strategies(s5_loop)
+        walked = EvaluationEngine(vectorize=False).sweep_results(
+            strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
         )
-        results = SerialExecutor().run(batch.requests)
-        for request, result in zip(batch.requests, results):
-            ref = request.strategy.evaluate(request.loop, request.prices)
-            assert result.monetized_profit == ref.monetized_profit
+        for label, strategy in strategies.items():
+            for price, result in zip(SMALL_GRID, walked[label]):
+                ref = strategy.evaluate(
+                    s5_loop, s5_prices.with_price(TOKEN_X, float(price))
+                )
+                assert result.monetized_profit == ref.monetized_profit
 
     def test_parallel_matches_serial_in_order(self, s5_loop, s5_prices):
-        batch = EvaluationBatch.sweep(
-            {"maxmax": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
+        strategies = {
+            "maxmax": MaxMaxStrategy(),
+            "convex": ConvexOptimizationStrategy(backend="slsqp"),
+        }
+        engine = EvaluationEngine(vectorize=False)
+        serial = engine.sweep_results(
+            strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
         )
-        serial = SerialExecutor().run(batch.requests)
-        parallel = ParallelExecutor(max_workers=2, min_batch_size=2).run(
-            batch.requests
+        parallel = engine.sweep_results(
+            strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID, jobs=2
         )
-        assert [r.monetized_profit for r in parallel] == [
-            r.monetized_profit for r in serial
-        ]
+        assert list(parallel) == list(strategies)
+        for label in strategies:
+            assert parallel[label] == serial[label]
 
     def test_parallel_small_batch_runs_serially(self, s5_loop, s5_prices):
-        batch = EvaluationBatch.cross({"mm": MaxMaxStrategy()}, [s5_loop], s5_prices)
-        results = ParallelExecutor(max_workers=2).run(batch.requests)
+        # one grid point is one chunk: walked in process, through the
+        # engine's own cache, whatever ``jobs`` says
+        engine = EvaluationEngine(vectorize=False)
+        results = engine.sweep_results(
+            {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, [2.0], jobs=2
+        )["mm"]
         assert len(results) == 1
+        assert engine.cache.misses == 3
 
     def test_deterministic_chunking(self, s5_loop, s5_prices):
-        batch = EvaluationBatch.sweep(
-            {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
-        )
-        executor = ParallelExecutor(max_workers=2, chunk_size=2)
-        chunks = executor.chunks(batch.requests)
-        assert [len(c) for c in chunks] == [2, 2, 1]
-        assert [r.price_index for chunk in chunks for r in chunk] == [0, 1, 2, 3, 4]
+        # 11 points over 2 workers: ragged contiguous chunks, results
+        # still in grid order
+        grid = np.linspace(1e-9, 20.0, 11)
+        engine = EvaluationEngine(vectorize=False)
+        results = engine.sweep_results(
+            {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, grid, jobs=2
+        )["mm"]
+        assert engine.cache.misses == 0  # every point went to a worker
+        for price, result in zip(grid, results):
+            ref = MaxMaxStrategy().evaluate(
+                s5_loop, s5_prices.with_price(TOKEN_X, float(price))
+            )
+            assert result == ref
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunk_size=-1)
-
-    def test_parallel_merges_worker_quotes_into_shared_cache(
-        self, s5_loop, s5_prices
-    ):
-        batch = EvaluationBatch.sweep(
-            {"maxmax": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
-        )
-        cache = PoolStateCache()
-        ParallelExecutor(max_workers=2, min_batch_size=2).run(
-            batch.requests, cache=cache
-        )
-        assert len(cache) == 3  # the three rotation quotes came back
-        # a subsequent serial evaluation is a pure cache hit
-        MaxMaxStrategy().evaluate_many([s5_loop], s5_prices, cache=cache)
-        assert cache.hits == 3 and cache.misses == 0
+    def test_rejects_bad_parameters(self, s5_loop, s5_prices):
+        engine = EvaluationEngine()
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                engine.sweep_results(
+                    {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X,
+                    SMALL_GRID, jobs=jobs,
+                )
 
 
 class TestEngineSweep:
@@ -265,7 +240,6 @@ class TestEngineSweep:
             Pool(Z, X, 200.0, 400.0, pool_id="v-zx"),
         ]
         loop = ArbitrageLoop([X, Y, Z], pools)
-        assert not is_vectorizable_loop(loop)
         prices = PriceMap({X: 2.0, Y: 10.2, Z: 20.0})
         grid = np.array([1.0, 8.0])
         results = EvaluationEngine().sweep_results(
@@ -274,6 +248,25 @@ class TestEngineSweep:
         for got, price in zip(results, grid):
             ref = MaxMaxStrategy().evaluate(loop, prices.with_price(X, float(price)))
             assert got.monetized_profit == ref.monetized_profit
+
+    def test_subclass_sweeps_through_its_own_evaluation(self, s5_loop, s5_prices):
+        """A subclass of a kernel-backed strategy is swept with its own
+        ``evaluate_cached``, never with its parent's grid kernel."""
+
+        class HalfMaxMax(MaxMaxStrategy):
+            def evaluate_cached(self, loop, prices, cache=None):
+                result = super().evaluate_cached(loop, prices, cache)
+                return replace(result, monetized_profit=result.monetized_profit / 2)
+
+        strategy = HalfMaxMax()
+        results = EvaluationEngine().sweep_results(
+            {"half": strategy}, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
+        )["half"]
+        for price, got in zip(SMALL_GRID, results):
+            ref = strategy.evaluate(
+                s5_loop, s5_prices.with_price(TOKEN_X, float(price))
+            )
+            assert got == ref
 
 
 class TestEngineBatches:

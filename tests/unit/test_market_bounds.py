@@ -184,25 +184,6 @@ class TestTwoPhaseEvaluateMany:
             else:
                 assert pruned.monetized_profit == exact.monetized_profit
 
-    def test_stored_profit_protects_live_book_entries(
-        self, registry, loops, prices
-    ):
-        strategy = MaxMaxStrategy()
-        evaluator = make_evaluator(registry, loops)
-        huge = 1e18  # prune threshold far above every bound
-        all_pruned = evaluator.evaluate_many(
-            strategy, prices, threshold=huge,
-            stored=[0.0] * len(loops),
-        )
-        assert all(r is None for r in all_pruned)
-        # a stored profit at/above the threshold forces the re-quote
-        protected = evaluator.evaluate_many(
-            strategy, prices, threshold=huge,
-            stored=[0.0, huge, 0.0, 0.0],
-        )
-        assert protected[1] is not None
-        assert [r is None for r in protected] == [True, False, True, True]
-
     def test_zero_threshold_keeps_profitable_loops(
         self, registry, loops, prices
     ):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.amm.events import PriceTickEvent
 from repro.market import MarketArrays, PoolHandle
 from repro.replay import generate_event_stream, rebind_loops
 from repro.service import (
@@ -112,6 +113,32 @@ class TestShardWorker:
         update = worker.process_block(_write(worker.store, 0, ()))
         assert update.evaluated == 0
         assert update.entries == ()
+
+    def test_published_profit_at_threshold_forces_requote(self, workload):
+        """A dirty loop whose fresh bound is prunable is still
+        re-quoted while its published profit reaches the threshold:
+        that stale entry may sit in the displayed top K."""
+        market, _ = workload
+        loops = _loops_for(market)
+        worker = _worker(market, loops)
+        entries = worker.initial_entries()
+        profits = [entry.profit_usd for entry in entries]
+        best = max(range(len(loops)), key=profits.__getitem__)
+        threshold = profits[best]
+        assert threshold > 0.0 and profits.count(threshold) == 1
+        # every loop token's price down 1e9x: all loops are dirty and
+        # every fresh monetized bound falls far below the threshold,
+        # while the published profits stay as they were
+        tokens = sorted({t for loop in loops for t in loop.tokens}, key=str)
+        ticks = [PriceTickEvent(t, market.prices[t] * 1e-9, block=1) for t in tokens]
+        update = worker.process_block(
+            BlockWork.from_events(
+                1, ticks, worker.store.pool_index, threshold=threshold
+            )
+        )
+        assert [entry.loop_id for entry in update.entries] == [entries[best].loop_id]
+        assert update.evaluated == 1
+        assert update.pruned == len(loops) - 1
 
 
 def _loops_for(market, length=3):
