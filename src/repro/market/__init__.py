@@ -7,13 +7,13 @@ step (:mod:`repro.engine`, :mod:`repro.replay`, :mod:`repro.service`):
 * :class:`MarketArrays` — structure-of-arrays reserves/fees/weights/
   amplifications with pool and token index maps and a per-row family
   code, built from and round-trippable to a
-  :class:`~repro.amm.registry.PoolRegistry`, with in-place (and, for
-  distinct-pool batches, vectorized) event application for every pool
-  family;
+  :class:`~repro.amm.registry.PoolRegistry` and refreshed from its
+  pool objects with ``pull`` (events move reserves in :mod:`repro.amm`
+  only);
 * :func:`family_descriptor` / :class:`FamilyDescriptor`
   (:mod:`repro.market.families`) — the per-family dispatch registry
-  (scalar swap mirror, chain-kernel lanes, bound rule, object
-  factory) every market-layer consumer routes through;
+  (chain-kernel lanes, bound rule, object factory) every market-layer
+  consumer routes through;
 * :func:`compile_loops` / :class:`CompiledLoopGroup` — loops × hops
   pool-index and orientation matrices over a fixed arrays instance,
   grouped by (length, mixed);

@@ -6,9 +6,6 @@ an integer family code (:data:`~repro.amm.families.FAMILY_CPMM` /
 a :class:`FamilyDescriptor` bundling everything the stack needs to
 handle that family without branching on type flags:
 
-* ``scalar_out`` — the per-row swap mirror ``MarketArrays`` event
-  application uses, op-for-op identical to the pool class's
-  ``quote_out`` after validation;
 * ``chain_lanes`` — the hop-state builder the generic chain kernel
   (:mod:`repro.market.weighted_kernel`) instantiates per hop column
   for the family's lanes (``None`` for CPMM, whose formula is the
@@ -21,15 +18,17 @@ handle that family without branching on type flags:
   scalar route over reserve-less handles);
 * flags: ``closed_form`` (the family composes linear-fractionally, so
   pure groups keep the closed-form kernel and the tighter sqrt profit
-  bound), ``depletion_check`` (the scalar swap mirror checks reserve
-  depletion, as ``Pool.swap`` does), ``integer_exact`` (the family has
-  an integer-arithmetic twin for ``--exact`` audits).
+  bound), ``integer_exact`` (the family has an integer-arithmetic twin
+  for ``--exact`` audits).
 
-Adding a family = adding a pool class in ``amm/``, one descriptor
-here, and (if its math is iterative) a batched lockstep solver in
-:mod:`repro.market.solvers`.  Nothing else in the market layer — not
-the arrays, the compiler, the kernels, the bounds, nor the
-shared-memory layout — needs to know the new family exists.
+No hook applies events: swaps, mints and burns move reserves in the
+pool class alone, and the columns copy the results
+(:meth:`~repro.market.MarketArrays.pull`).  Adding a family = adding a
+pool class in ``amm/``, one descriptor here, and (if its math is
+iterative) a batched lockstep solver in :mod:`repro.market.solvers`.
+Nothing else in the market layer — not the arrays, the compiler, the
+kernels, the bounds, nor the shared-memory layout — needs to know the
+new family exists.
 
 Parity policy per family
 ------------------------
@@ -61,8 +60,8 @@ from ..amm.families import (
     pool_family,
 )
 from ..amm.pool import Pool
-from ..amm.stableswap import StableSwapPool, calculate_d, calculate_y, invariant_rate
-from ..amm.weighted import WeightedPool, pinned_pow
+from ..amm.stableswap import StableSwapPool, invariant_rate
+from ..amm.weighted import WeightedPool
 from .solvers import batched_stableswap_d, batched_stableswap_y
 
 __all__ = [
@@ -215,35 +214,6 @@ class _StableSwapChainLanes:
 
 
 # ----------------------------------------------------------------------
-# scalar swap mirrors (MarketArrays event application)
-# ----------------------------------------------------------------------
-
-
-def _cpmm_scalar_out(arrays, i, is0, x, y, gamma, dx):
-    """CPMM exact-in, op-for-op ``repro.amm.swap.amount_out``."""
-    eff = gamma * dx
-    return y * eff / (x + eff)
-
-
-def _g3m_scalar_out(arrays, i, is0, x, y, gamma, dx):
-    """G3M exact-in, op-for-op :meth:`WeightedPool.quote_out` (after
-    its validation): ``dy = y*(1 - (x/(x+γ·dx))^(w_in/w_out))``."""
-    w_in = float(arrays.weight0[i]) if is0 else float(arrays.weight1[i])
-    w_out = float(arrays.weight1[i]) if is0 else float(arrays.weight0[i])
-    ratio = w_in / w_out
-    base = x / (x + gamma * dx)
-    return y * (1.0 - pinned_pow(base, ratio))
-
-
-def _stableswap_scalar_out(arrays, i, is0, x, y, gamma, dx):
-    """Stableswap exact-in, op-for-op :meth:`StableSwapPool.quote_out`
-    (after its validation and zero guard): ``dy = y - Y(x + γ·dx)``."""
-    amp = float(arrays.amp[i])
-    d = calculate_d(x, y, amp)
-    return y - calculate_y(x + gamma * dx, d, amp)
-
-
-# ----------------------------------------------------------------------
 # bound rate factors (gamma * f'(0) per lane)
 # ----------------------------------------------------------------------
 
@@ -330,9 +300,7 @@ class FamilyDescriptor:
     code: int
     name: str
     closed_form: bool
-    depletion_check: bool
     integer_exact: bool
-    scalar_out: Callable
     chain_lanes: Callable | None
     bound_factor: Callable | None
     to_pool: Callable
@@ -346,9 +314,7 @@ FAMILY_DESCRIPTORS: dict[int, FamilyDescriptor] = {
         code=FAMILY_CPMM,
         name=FAMILY_NAMES[FAMILY_CPMM],
         closed_form=True,
-        depletion_check=True,
         integer_exact=True,
-        scalar_out=_cpmm_scalar_out,
         chain_lanes=None,
         bound_factor=None,
         to_pool=_cpmm_to_pool,
@@ -357,9 +323,7 @@ FAMILY_DESCRIPTORS: dict[int, FamilyDescriptor] = {
         code=FAMILY_G3M,
         name=FAMILY_NAMES[FAMILY_G3M],
         closed_form=False,
-        depletion_check=False,
         integer_exact=False,
-        scalar_out=_g3m_scalar_out,
         chain_lanes=_G3MChainLanes,
         bound_factor=_g3m_bound_factor,
         to_pool=_g3m_to_pool,
@@ -368,9 +332,7 @@ FAMILY_DESCRIPTORS: dict[int, FamilyDescriptor] = {
         code=FAMILY_STABLESWAP,
         name=FAMILY_NAMES[FAMILY_STABLESWAP],
         closed_form=False,
-        depletion_check=False,
         integer_exact=False,
-        scalar_out=_stableswap_scalar_out,
         chain_lanes=_StableSwapChainLanes,
         bound_factor=_stableswap_bound_factor,
         to_pool=_stableswap_to_pool,

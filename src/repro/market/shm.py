@@ -7,10 +7,12 @@ map it read-only:
 
 * :class:`SharedMarketArrays` — the **single writer**'s end.  A
   :class:`~repro.market.MarketArrays` whose columns live inside a
-  named segment; the ingest stage applies each block's events under
-  :meth:`write_block`, which brackets the mutation with an odd/even
-  **epoch counter** (a seqlock): odd while a write is in progress,
-  even once committed, monotonically increasing.
+  named segment; the ingest stage applies each block's events to its
+  private pool objects and copies the dirty rows in
+  (:meth:`~repro.market.MarketArrays.pull`) under :meth:`write_block`,
+  which brackets the copy with an odd/even **epoch counter** (a
+  seqlock): odd while a write is in progress, even once committed,
+  monotonically increasing.
 * :class:`SharedMarketView` — a shard's **reader** end.  Every
   column — static *and* mutable — is a zero-copy read-only numpy view
   of the segment; per-shard private market state is zero bytes.
@@ -94,7 +96,7 @@ _EPOCH_SLOT = 4
 _ALIGN = 64
 
 #: Column payload layout, in segment order.  ``mutable`` columns are
-#: the ones the writer's event application touches (readers bracket
+#: the ones the writer's per-block ``pull`` touches (readers bracket
 #: their kernel passes with the epoch check); ``static`` columns never
 #: change after creation.  Both sides map every column zero-copy.
 _MUTABLE_COLUMNS = (
@@ -279,13 +281,13 @@ class SharedMarketArrays(MarketArrays):
 
     @contextmanager
     def write_block(self):
-        """Bracket one block's event application as a seqlock write.
+        """Bracket one block's column writes as a seqlock write.
 
         The epoch goes odd before the first store and even after the
         last, so readers either wait or retry instead of gathering a
-        half-applied block.  Committed in ``finally`` even when event
-        application raises — the run is being torn down at that point
-        and a permanently-odd epoch would wedge every spinning reader.
+        half-written block.  Committed in ``finally`` even when the
+        write raises — the run is being torn down at that point and a
+        permanently-odd epoch would wedge every spinning reader.
         """
         if self._epoch[0] & 1:  # pragma: no cover - defensive
             raise RuntimeError("nested write_block (single-writer protocol)")

@@ -1,15 +1,21 @@
 """Shared event-application and invalidation-index primitives.
 
 The block-by-block consumers of a market event stream — the offline
-:class:`~repro.replay.ReplayDriver` and the online sharded workers of
-:mod:`repro.service` — share these building blocks:
+:class:`~repro.replay.ReplayDriver` and the online
+:class:`~repro.service.OpportunityService` (its ingest stage and its
+shard workers) — share these building blocks:
 
 * :func:`apply_event` — mutate a private market copy (and price map)
   according to one event, recording which pool / token it dirtied;
 * :func:`apply_block_events` — a whole block of events at once,
-  including dropping the pools' own event records and refreshing a
-  columnar :class:`~repro.market.MarketArrays` mirror for the dirty
-  pools, so the batch quote kernel sees the new reserves;
+  including dropping the pools' own event records and, optionally,
+  pulling the dirty pools into a columnar
+  :class:`~repro.market.MarketArrays`.  Both consumers write their
+  column store this way — the driver its private mirror, the service's
+  ingest its shared store (calling ``pull`` itself, so that on a
+  shared-memory segment only the row copy runs under the seqlock) — so
+  the pool classes in :mod:`repro.amm` are the one place an event
+  moves reserves;
 * :func:`build_loop_indices` — the inverted indices (pool id → loop
   positions, token → loop positions) that turn a dirty set into the
   exact set of loops whose stored results are stale;
@@ -100,16 +106,16 @@ def apply_block_events(
     """Apply one block's events; return ``(prices, dirty_pools,
     dirty_tokens, n_events)``.
 
-    The replay driver's block-consumer boilerplate: every event goes
-    through :func:`apply_event`, the mutated pools' own event records are
-    dropped (the private pools record their mutations as they happen;
-    nothing here reads those logs, so they must not mirror the whole
-    input stream in memory), and — when the caller keeps a columnar
-    ``arrays`` mirror for the batch quote kernels — the dirty pools'
+    The block-consumer boilerplate of the replay driver and the
+    service's ingest: every event goes through :func:`apply_event`, the
+    mutated pools' own event records are dropped (the private pools
+    record their mutations as they happen; nothing here reads those
+    logs, so they must not hold the whole input stream in memory), and
+    — when the caller passes its columnar ``arrays`` — the dirty pools'
     reserves are pulled into it.  The pull copies reserves straight
     off the mutated pool objects, so it is family-agnostic by
     construction: a weighted pool's G3M swap arithmetic happened on
-    the object side, and the mirror can never re-apply CPMM math to
+    the object side, and the columns can never re-apply CPMM math to
     it (the weighted replay regression suite pins this).
     """
     dirty_pools: set[str] = set()

@@ -17,7 +17,8 @@ asyncio pipeline::
   cross-shard consistent — the overload mode the load generator
   exercises), counting every dropped event.  Ingest is also the only
   writer of the one column store every shard reads: each non-shed
-  block's routed pool events are applied to it before the block is
+  block's routed pool events move ingest's private copy of the pools,
+  and the dirty rows are copied into the store before the block is
   dispatched — plain in-process :class:`~repro.market.MarketArrays` on
   the inline backend, a :class:`~repro.market.SharedMarketArrays`
   segment under a single-writer seqlock on the process backend.
@@ -49,7 +50,7 @@ from ..amm.events import BurnEvent, MarketEvent, MintEvent, SwapEvent
 from ..data.snapshot import MarketSnapshot
 from ..engine import EvaluationEngine
 from ..market import MarketArrays, SharedMarketArrays
-from ..replay.apply import build_loop_indices
+from ..replay.apply import apply_block_events, build_loop_indices
 from ..strategies.base import Strategy
 from ..strategies.maxmax import MaxMaxStrategy
 from ..telemetry import trace
@@ -164,8 +165,9 @@ class OpportunityService:
     Parameters
     ----------
     market:
-        Starting snapshot; its pools are copied once into the column
-        store (the snapshot itself is never mutated).
+        Starting snapshot; ingest keeps one private copy of its pools,
+        from which the column store is built and refreshed (the
+        snapshot itself is never mutated).
     n_shards:
         Number of shard workers; pools (and hence loops) are
         partitioned deterministically across them.
@@ -257,16 +259,18 @@ class OpportunityService:
             universe.candidates,
             n_shards,
         )
-        # the one column store for the whole market, written only by
-        # ingest: a segment each shard process maps through its own
-        # zero-copy view, or in-process columns the inline shards read
-        # directly — no per-shard market copies anywhere
+        # ingest's private pool copy (the events move these objects)
+        # and the one column store for the whole market, written only
+        # by ingest from them: a segment each shard process maps through
+        # its own zero-copy view, or in-process columns the inline
+        # shards read directly — no per-shard market copies anywhere
+        self._market = market.copy()
         self._segment: SharedMarketArrays | None = None
         if backend == "process":
-            self._segment = SharedMarketArrays(market.registry)
+            self._segment = SharedMarketArrays(self._market.registry)
             self._store: MarketArrays = self._segment
         else:
-            self._store = MarketArrays.from_registry(market.registry)
+            self._store = MarketArrays.from_registry(self._market.registry)
         self.workers = [
             ShardWorker(
                 shard,
@@ -318,15 +322,17 @@ class OpportunityService:
         return ids
 
     def _write_block(self, events, block: int) -> int:
-        """Apply one (non-shed) block's routed pool events to the store;
+        """Write one (non-shed) block's routed pool events to the store;
         return the committed seqlock epoch (0 in-process).
 
-        The single-writer half of the store protocol: on a segment the
-        epoch goes odd, the events apply through the same
-        :meth:`~repro.market.MarketArrays.apply_events` arithmetic the
-        columnar parity suite pins against the object path, and the
-        epoch goes even.  Only events that route to at least one shard
-        are applied: a pool no loop crosses never changes.
+        The single-writer half of the store protocol, the replay
+        driver's write path: the events move ingest's private pool
+        objects through :func:`~repro.replay.apply.apply_block_events`
+        (an invalid event raises there, before the store is touched),
+        then :meth:`~repro.market.MarketArrays.pull` copies the dirty
+        rows in — on a segment the only step run with the epoch odd.
+        Only events that route to at least one shard are applied: a
+        pool no loop crosses never changes.
         """
         writes = [
             event
@@ -337,8 +343,12 @@ class OpportunityService:
         segment = self._segment
         if writes:
             with trace.span("ingest.shm_write", block=block, events=len(writes)):
+                # writes hold no price ticks: the prices pass through
+                _, dirty, _, _ = apply_block_events(
+                    self._market.registry, self._market.prices, writes
+                )
                 with segment.write_block() if segment is not None else nullcontext():
-                    self._store.apply_events(writes)
+                    self._store.pull(self._market.registry, dirty)
         return segment.epoch if segment is not None else 0
 
     def _memory_report(self, window: ServiceMetrics) -> dict:

@@ -40,8 +40,6 @@ state crosses the process boundary after construction.
 
 from __future__ import annotations
 
-import heapq
-import math
 import multiprocessing as mp
 import sys
 import time
@@ -54,7 +52,13 @@ import numpy as np
 
 from ..amm.events import BurnEvent, MarketEvent, MintEvent, PriceTickEvent, SwapEvent
 from ..core.types import Token
-from ..market import BatchEvaluator, MarketArrays, SharedMarketView, pool_handles
+from ..market import (
+    BatchEvaluator,
+    MarketArrays,
+    SharedMarketView,
+    below_threshold,
+    pool_handles,
+)
 from ..replay.apply import build_loop_indices, rebind_loops
 from ..strategies.base import Strategy
 from ..telemetry import trace
@@ -147,12 +151,6 @@ class ShardUpdate:
     shm_torn_retries: int = 0
 
 
-def _prunable(value: float, threshold: float) -> bool:
-    """Scalar twin of :func:`repro.market.bounds.below_threshold`:
-    NaN compares False on both sides, so it is never prunable."""
-    return value < threshold or value <= 0.0
-
-
 def _loop_path(loop) -> str:
     return " -> ".join(t.symbol for t in loop.tokens) + f" -> {loop.tokens[0].symbol}"
 
@@ -210,13 +208,6 @@ class ShardWorker:
         self._amounts: list[float | None] = [None] * n
         self._starts: list[str | None] = [None] * n
         self._record(range(n), self._quote(list(range(n))))
-        # pruning state: a lazy max-heap of (-bound, version, index)
-        # candidates ordered by their latest profit upper bound.  A
-        # version bump invalidates every older heap tuple for that
-        # loop; NaN bounds are keyed +inf so they always surface (and
-        # always get an exact quote).
-        self._bound_heap: list[tuple[float, int, int]] = []
-        self._bound_version = np.zeros(n, dtype=np.int64)
 
     def __repr__(self) -> str:
         return (
@@ -382,8 +373,8 @@ class ShardWorker:
         )
 
     def _select_requotes(self, reeval: list[int], threshold: float) -> list[int]:
-        """Bound-ordered selection of the dirty loops that need an
-        exact quote at the given threshold.
+        """The dirty loops that need an exact quote at the given
+        threshold, in ``reeval`` order — one mask over the block.
 
         A dirty loop may keep its stale book entry only when *both* its
         fresh profit upper bound and its currently published profit are
@@ -401,43 +392,10 @@ class ShardWorker:
                     self.strategy, self.prices, indices=reeval
                 )
             )
-        for index, bound in zip(reeval, bounds):
-            self._bound_version[index] += 1
-            key = math.inf if math.isnan(bound) else bound
-            heapq.heappush(
-                self._bound_heap, (-key, int(self._bound_version[index]), index)
-            )
-        dirty = set(reeval)
-        requote: set[int] = set()
-        heap = self._bound_heap
-        while heap:
-            negkey, version, index = heap[0]
-            if _prunable(-negkey, threshold):
-                # max-heap order: every remaining bound is prunable too
-                break
-            heapq.heappop(heap)
-            if version != self._bound_version[index]:
-                continue  # invalidated by a later bound for this loop
-            if index not in dirty:
-                continue  # clean loop: its published result is exact
-            requote.add(index)
-        # the heap accumulates one stale tuple per invalidated bound;
-        # rebuild from live versions once they dominate (same ~2:1
-        # discipline as the book's lazy-deletion heap)
-        if len(heap) > 3 * max(64, len(self.loops)):
-            self._rebuild_bound_heap()
-        for index in reeval:
-            if not _prunable(float(self._profits[index]), threshold):
-                requote.add(index)
-        return sorted(requote)
-
-    def _rebuild_bound_heap(self) -> None:
-        self._bound_heap = [
-            (negkey, version, index)
-            for negkey, version, index in self._bound_heap
-            if version == self._bound_version[index]
-        ]
-        heapq.heapify(self._bound_heap)
+        stale_ok = below_threshold(bounds, threshold) & below_threshold(
+            self._profits[reeval], threshold
+        )
+        return [index for index, keep in zip(reeval, stale_ok) if not keep]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ import asyncio
 
 import pytest
 
+from repro.amm.events import BurnEvent, MintEvent, SwapEvent
+from repro.core.errors import InvalidReserveError, UnknownPoolError
 from repro.replay import generate_event_stream
 from repro.service import (
     OpportunityService,
@@ -97,7 +99,6 @@ class TestScalarRoute:
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     async def test_small_dirty_slice_takes_scalar_route(self, workload, backend):
-        from repro.amm.events import SwapEvent
         from repro.market.batch import DEFAULT_MIN_BATCH
 
         market, _ = workload
@@ -247,9 +248,6 @@ class TestSharedMemory:
         OpportunityService(market, backend="process", shared=True).close()
 
     async def test_abnormal_worker_exit_still_unlinks_segment(self, workload):
-        from repro.amm.events import SwapEvent
-        from repro.core.errors import UnknownPoolError
-
         market, _ = workload
         pool = next(iter(market.registry))
         bogus = SwapEvent(
@@ -327,24 +325,66 @@ class TestBackpressureAndDrops:
         assert service.metrics.latency("end_to_end").count == first_e2e
 
 
-class TestFailurePaths:
-    async def test_unknown_pool_event_raises_not_sheds(self, workload):
-        from repro.amm.events import SwapEvent
-        from repro.core.errors import UnknownPoolError
-
-        market, log = workload
-        pool = next(iter(market.registry))
-        bogus = SwapEvent(
+#: Malformed pool events at ingest: (event for a routed pool, the typed
+#: error the run must raise, its message).  The unknown pool fails at
+#: routing; the rest fail in the pool objects ingest applies them to,
+#: before the column store is written.
+MALFORMED_EVENTS = [
+    pytest.param(
+        lambda pool: SwapEvent(
             pool_id="no-such-pool", token_in=pool.token0,
             token_out=pool.token1, amount_in=1.0, amount_out=0.9, block=0,
+        ),
+        UnknownPoolError, "no-such-pool", id="unknown-pool",
+    ),
+    pytest.param(
+        lambda pool: SwapEvent(
+            pool_id=pool.pool_id, token_in=pool.token0,
+            token_out=pool.token1, amount_in=float("nan"), amount_out=0.0,
+            block=0,
+        ),
+        ValueError, "finite", id="nan-swap",
+    ),
+    pytest.param(
+        lambda pool: BurnEvent(pool_id=pool.pool_id, fraction=1.5, block=0),
+        InvalidReserveError, "fraction", id="burn-fraction",
+    ),
+    pytest.param(
+        lambda pool: MintEvent(
+            pool_id=pool.pool_id, amount0=pool.reserve0 * 0.01,
+            amount1=pool.reserve1 * 0.02, block=0,
+        ),
+        InvalidReserveError, "ratio", id="off-ratio-mint",
+    ),
+]
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize("make_event, error, match", MALFORMED_EVENTS)
+    async def test_unknown_pool_event_raises_not_sheds(
+        self, workload, make_event, error, match, backend
+    ):
+        market, _ = workload
+        before = _market_segments()
+        # one shard: on an aborted run the process backend waits out a
+        # 5 s join per shard process before terminating it
+        service = OpportunityService(market, n_shards=1, backend=backend)
+        pool = next(
+            p for p in market.registry if service.plan.shards_for_pool(p.pool_id)
         )
+        bogus = make_event(pool)
 
         async def corrupt_source():
             yield bogus
 
-        service = OpportunityService(market, n_shards=2)
-        with pytest.raises(UnknownPoolError, match="no-such-pool"):
-            await service.run(corrupt_source())
+        try:
+            with pytest.raises(error, match=match):
+                await service.run(corrupt_source())
+            # the run's own teardown unlinked the segment
+            assert _market_segments() <= before
+        finally:
+            service.close()
 
     def test_child_process_error_is_reported_not_hung(self, workload):
         from repro.engine import EvaluationEngine

@@ -1,21 +1,13 @@
-"""Hypothesis: columnar market state ↔ pool objects, bit-exact.
+"""Hypothesis: columnar quotes ↔ pool objects, bit-exact.
 
 The contract of :mod:`repro.market` is not "close" — it is *the same
-floats*.  Two round-trip properties pin it:
-
-* **state parity** — build :class:`~repro.market.MarketArrays` from a
-  random registry, drive a random valid Swap/Mint/Burn stream through
-  the pool objects, replay the recorded events into the arrays (in
-  random chunk sizes, so both the sequential and the vectorized
-  distinct-pool scatter paths get exercised), and compare every
-  reserve with ``==``;
-* **quote parity** — after the stream, every strategy quote produced
-  by the cross-loop batch kernel equals the scalar object-path quote
-  bit for bit (profit vector, optimal input, hop amounts, monetized
-  profit).
-
-A registry rebuilt via ``to_registry`` must also reproduce the arrays'
-state exactly.
+floats*.  Build :class:`~repro.market.MarketArrays` from a random
+registry, drive a random valid Swap/Mint/Burn stream through the pool
+objects, refresh the arrays with ``pull`` (the write path of the
+replay driver and the service's ingest), and every strategy quote
+produced by the cross-loop batch kernel must equal the scalar
+object-path quote bit for bit (profit vector, optimal input, hop
+amounts, monetized profit).
 """
 
 from __future__ import annotations
@@ -50,8 +42,6 @@ event_specs = st.lists(
     max_size=40,
 )
 
-chunk_seed = st.integers(min_value=1, max_value=7)
-
 
 def build_registry(reserves) -> PoolRegistry:
     registry = PoolRegistry()
@@ -69,14 +59,11 @@ def loops_over(registry: PoolRegistry) -> list[ArbitrageLoop]:
     ]
 
 
-def drive_objects(registry: PoolRegistry, specs) -> list:
-    """Apply a random-but-valid stream to the pool objects; return the
-    recorded events (the ground truth the arrays replay)."""
+def drive_objects(registry: PoolRegistry, specs) -> None:
+    """Apply a random-but-valid stream to the pool objects."""
     pools = sorted(registry, key=lambda p: p.pool_id)
-    events = []
     for pick, kind, magnitude, side in specs:
         pool = pools[pick % len(pools)]
-        before = pool.event_count
         if kind < 0.6:
             token_in = pool.token0 if side else pool.token1
             pool.swap(token_in, magnitude * pool.reserve_of(token_in))
@@ -86,47 +73,19 @@ def drive_objects(registry: PoolRegistry, specs) -> list:
             )
         else:
             pool.remove_liquidity(magnitude * 0.9 + 1e-6)
-        events.extend(pool.events_after(before))
-    return events
-
-
-def replay_into_arrays(arrays: MarketArrays, events, chunk: int) -> None:
-    for start in range(0, len(events), chunk):
-        arrays.apply_events(events[start : start + chunk])
-
-
-@given(
-    reserves=st.tuples(*([st.tuples(reserve, reserve)] * 5)),
-    specs=event_specs,
-    chunk=chunk_seed,
-)
-@settings(max_examples=60, deadline=None)
-def test_event_stream_state_parity(reserves, specs, chunk):
-    registry = build_registry(reserves)
-    arrays = MarketArrays.from_registry(registry)
-    events = drive_objects(registry, specs)
-    replay_into_arrays(arrays, events, chunk)
-    for pool in registry:
-        assert arrays.reserves(pool.pool_id) == (pool.reserve0, pool.reserve1)
-    rebuilt = arrays.to_registry()
-    for pool in registry:
-        clone = rebuilt[pool.pool_id]
-        assert clone.reserve0 == pool.reserve0
-        assert clone.reserve1 == pool.reserve1
 
 
 @given(
     reserves=st.tuples(*([st.tuples(reserve, reserve)] * 5)),
     prices=st.tuples(price, price, price, price),
     specs=event_specs,
-    chunk=chunk_seed,
 )
 @settings(max_examples=40, deadline=None)
-def test_event_stream_quote_parity(reserves, prices, specs, chunk):
+def test_event_stream_quote_parity(reserves, prices, specs):
     registry = build_registry(reserves)
     arrays = MarketArrays.from_registry(registry)
-    events = drive_objects(registry, specs)
-    replay_into_arrays(arrays, events, chunk)
+    drive_objects(registry, specs)
+    arrays.pull(registry)
 
     price_map = PriceMap(dict(zip(TOKENS, prices)))
     loops = loops_over(registry)

@@ -303,13 +303,20 @@ class TestEvaluatorExactMode:
         assert "exact" not in result.details
 
     def test_exact_quote_reflects_fee_refresh(self):
-        """set_fee must flow into the integer column the kernel reads."""
+        """A fee change pulled from the pool objects must flow into the
+        integer column the kernel reads."""
         registry, loops = triangle_registry()
         prices = prices_for(loops)
         arrays = MarketArrays.from_registry(registry)
         evaluator = BatchEvaluator(loops, arrays=arrays, min_batch=1, exact=True)
         before = evaluator.evaluate_many(MaxMaxStrategy(), prices)[0]
-        arrays.set_fee("ab", 0.25)
+        old = registry["ab"]
+        refreshed = PoolRegistry()
+        refreshed.add(
+            Pool(old.token0, old.token1, old.reserve0, old.reserve1,
+                 fee=0.25, pool_id="ab")
+        )
+        arrays.pull(refreshed, ["ab"])
         after = evaluator.evaluate_many(MaxMaxStrategy(), prices)[0]
         assert arrays.fee_num[arrays.pool_index["ab"]] == quantize_fee(0.25)
         assert before.details["exact"] != after.details["exact"]

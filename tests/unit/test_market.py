@@ -1,10 +1,9 @@
 """Unit tests for the columnar market layer (:mod:`repro.market`).
 
 Parity assertions here are ``==``, never ``approx``: the batch kernel
-and the array event application are contractually *bit-identical* to
-the scalar object path (the hypothesis suite in
-``tests/property/test_market_parity.py`` hammers the same contract
-with random markets and streams).
+is contractually *bit-identical* to the scalar object path (the
+hypothesis suite in ``tests/property/test_market_parity.py`` hammers
+the same contract with random markets and streams).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.amm import FAMILY_CPMM, FAMILY_G3M, Pool, PoolRegistry
-from repro.amm.events import BlockEvent, BurnEvent, MintEvent, PriceTickEvent, SwapEvent
 from repro.amm.weighted import WeightedPool
 from repro.core import (
     ArbitrageLoop,
@@ -22,7 +20,6 @@ from repro.core import (
     StrategyError,
     Token,
 )
-from repro.core.errors import UnknownPoolError
 from repro.market import (
     BatchEvaluator,
     MarketArrays,
@@ -158,96 +155,6 @@ class TestMarketArrays:
         )
         assert gamma[0] == 1.0 - 0.01
 
-    def test_set_fee_updates_both_columns(self, registry):
-        from repro.market import quantize_fee
-
-        arrays = MarketArrays.from_registry(registry)
-        arrays.set_fee("yz", 0.0005)
-        i = arrays.pool_index["yz"]
-        assert arrays.fee[i] == 0.0005
-        assert arrays.fee_num[i] == quantize_fee(0.0005)
-
-    def test_set_fee_validates(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        with pytest.raises(ValueError, match="fee"):
-            arrays.set_fee("yz", 1.0)
-        with pytest.raises(UnknownPoolError):
-            arrays.set_fee("nope", 0.003)
-
-    def test_apply_swap_matches_object_path(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        pool = registry["xy"]
-        pool.swap(Y, 123.0)
-        event = pool.events[-1]
-        dirty = arrays.apply_events([event])
-        assert dirty == {"xy"}
-        assert arrays.reserves("xy") == (pool.reserve0, pool.reserve1)
-
-    def test_apply_mint_and_burn_match_object_path(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        pool = registry["yz"]
-        pool.add_liquidity(30.0, 15.0)
-        pool.remove_liquidity(0.25)
-        arrays.apply_events(pool.events)
-        assert arrays.reserves("yz") == (pool.reserve0, pool.reserve1)
-
-    def test_repeated_pool_in_batch_stays_sequential_exact(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        pool = registry["zx"]
-        pool.swap(Z, 50.0)
-        pool.swap(X, 75.0)  # depends on the first swap's reserves
-        arrays.apply_events(pool.events)
-        assert arrays.reserves("zx") == (pool.reserve0, pool.reserve1)
-
-    def test_ticks_and_blocks_are_noops(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        before = arrays.reserves("xy")
-        dirty = arrays.apply_events(
-            [PriceTickEvent(token=X, price=3.0), BlockEvent(block=7)]
-        )
-        assert dirty == set()
-        assert arrays.reserves("xy") == before
-
-    def test_unknown_pool_rejected(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        with pytest.raises(UnknownPoolError):
-            arrays.apply_events(
-                [SwapEvent(pool_id="nope", token_in=X, token_out=Y,
-                           amount_in=1.0, amount_out=1.0)]
-            )
-
-    def test_weighted_swap_matches_object_path(self, registry):
-        """The columnar mirror must apply G3M (not CPMM) arithmetic to
-        weighted rows — bit-identical to WeightedPool.swap."""
-        pool = WeightedPool(Y, W, 100.0, 400.0, 0.8, 0.2, pool_id="wp")
-        registry.add(pool)
-        arrays = MarketArrays.from_registry(registry)
-        pool.swap(Y, 7.5)
-        pool.swap(W, 12.0)  # second swap sees the first one's reserves
-        dirty = arrays.apply_events(pool.events)
-        assert dirty == {"wp"}
-        assert arrays.reserves("wp") == (pool.reserve0, pool.reserve1)
-
-    def test_weighted_rows_in_distinct_batch_match_object_path(self, registry):
-        """A mixed distinct-pool batch: CPMM rows scatter vectorized,
-        weighted rows go through the scalar G3M mirror — all exact."""
-        wp = WeightedPool(Y, W, 100.0, 400.0, 0.8, 0.2, pool_id="wp")
-        registry.add(wp)
-        arrays = MarketArrays.from_registry(registry)
-        cp = registry["xy"]
-        cp.swap(X, 25.0)
-        wp.swap(W, 3.0)
-        wp_mint = WeightedPool(X, W, 50.0, 60.0, 0.3, 0.7, pool_id="wp2")
-        registry.add(wp_mint)
-        arrays2 = MarketArrays.from_registry(registry)
-        wp_mint.add_liquidity(6.0, 5.0)  # ratio-matched post-normalization
-        wp_mint.remove_liquidity(0.25)
-        arrays.apply_events([cp.events[-1], wp.events[-1]])
-        assert arrays.reserves("xy") == (cp.reserve0, cp.reserve1)
-        assert arrays.reserves("wp") == (wp.reserve0, wp.reserve1)
-        arrays2.apply_events(wp_mint.events)
-        assert arrays2.reserves("wp2") == (wp_mint.reserve0, wp_mint.reserve1)
-
     def test_weighted_weights_live_in_columns(self, registry):
         pool = WeightedPool(Y, W, 100.0, 400.0, 0.8, 0.2, pool_id="wp")
         registry.add(pool)
@@ -258,43 +165,6 @@ class TestMarketArrays:
         # constant-product rows carry neutral weights
         j = arrays.pool_index["xy"]
         assert (arrays.weight0[j], arrays.weight1[j]) == (1.0, 1.0)
-
-    def test_invalid_events_rejected_like_pools(self, registry):
-        arrays = MarketArrays.from_registry(registry)
-        with pytest.raises(Exception, match="fraction"):
-            arrays.apply_events([BurnEvent(pool_id="xy", fraction=1.5)])
-        with pytest.raises(Exception, match="ratio"):
-            arrays.apply_events([MintEvent(pool_id="xy", amount0=1.0, amount1=500.0)])
-
-    def test_invalid_event_in_distinct_batch_keeps_prefix_semantics(self, registry):
-        """A distinct-pool batch containing an invalid event must raise
-        the same error AND leave the same partial state as applying the
-        events one by one (the vectorized path falls back)."""
-        arrays = MarketArrays.from_registry(registry)
-        pool = registry["yz"]
-        pool.swap(Y, 10.0)  # records a valid swap on yz
-        batch = [
-            pool.events[-1],
-            BurnEvent(pool_id="xy", fraction=1.5),  # invalid, later in order
-        ]
-        with pytest.raises(Exception, match="fraction"):
-            arrays.apply_events(batch)
-        # the valid swap preceding the failure was applied, like the
-        # object path's event-by-event prefix
-        assert arrays.reserves("yz") == (pool.reserve0, pool.reserve1)
-        assert arrays.reserves("xy") == (
-            registry["xy"].reserve0, registry["xy"].reserve1
-        )
-        # reversed order: failure first, nothing applied
-        arrays2 = MarketArrays.from_registry(registry)
-        before = arrays2.reserves("zx")
-        swap_zx = registry["zx"]
-        swap_zx.swap(Z, 5.0)
-        with pytest.raises(Exception, match="fraction"):
-            arrays2.apply_events(
-                [BurnEvent(pool_id="xy", fraction=1.5), swap_zx.events[-1]]
-            )
-        assert arrays2.reserves("zx") == before
 
     def test_price_vector_marks_missing_tokens_nan(self, registry):
         arrays = MarketArrays.from_registry(registry)

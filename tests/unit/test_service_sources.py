@@ -8,7 +8,7 @@ import pytest
 
 from repro.amm.events import PriceTickEvent
 from repro.market import MarketArrays, PoolHandle
-from repro.replay import generate_event_stream, rebind_loops
+from repro.replay import apply_block_events, generate_event_stream, rebind_loops
 from repro.service import (
     ShardPlan,
     ShardWorker,
@@ -74,7 +74,7 @@ class TestShardWorker:
 
         before = reserves(market.registry)
         block, events = next(iter(log.iter_blocks()))
-        worker.process_block(_write(worker.store, block, events))
+        worker.process_block(_write(market.copy(), worker.store, block, events))
         # the store is a private column copy: writing it moved some
         # pools without touching the source market ...
         assert reserves(worker.store.to_registry()) != before
@@ -100,7 +100,9 @@ class TestShardWorker:
         loops = _loops_for(market)
         worker = _worker(market, loops)
         block, events = next(iter(log.iter_blocks()))
-        update = worker.process_block(_write(worker.store, block, events))
+        update = worker.process_block(
+            _write(market.copy(), worker.store, block, events)
+        )
         assert update.shard == 0 and update.block == block
         assert update.evaluated == len(update.entries)
         assert 0 < update.evaluated <= len(loops)
@@ -110,7 +112,7 @@ class TestShardWorker:
         market, _ = workload
         loops = _loops_for(market)
         worker = _worker(market, loops)
-        update = worker.process_block(_write(worker.store, 0, ()))
+        update = worker.process_block(_write(market.copy(), worker.store, 0, ()))
         assert update.evaluated == 0
         assert update.entries == ()
 
@@ -160,10 +162,12 @@ def _worker(market, loops, shard_id=0, strategy=None):
     )
 
 
-def _write(store, block, events):
-    """Play the ingest stage: write ``events`` to the store, then build
-    the block's work item."""
-    store.apply_events(events)
+def _write(private, store, block, events):
+    """Play the ingest stage: apply ``events`` to its private market
+    copy, pull the dirty rows into the store, then build the block's
+    work item."""
+    _, dirty, _, _ = apply_block_events(private.registry, private.prices, events)
+    store.pull(private.registry, dirty)
     return BlockWork.from_events(block, events, store.pool_index)
 
 
@@ -180,10 +184,11 @@ def test_generate_stream_feeds_worker_consistently(workload):
     loops = _loops_for(market)
     plan = ShardPlan([p.pool_id for p in market.registry], loops, 1)
     worker = _worker(market, loops)
+    private = market.copy()
     published = {entry.loop_id: entry for entry in worker.initial_entries()}
     for block, events in log.iter_blocks():
         routed = plan.route_block(events).get(0, [])
-        update = worker.process_block(_write(worker.store, block, routed))
+        update = worker.process_block(_write(private, worker.store, block, routed))
         published.update((entry.loop_id, entry) for entry in update.entries)
     # replaying the whole log onto a fresh copy gives the same quotes
     copy = market.copy()

@@ -286,16 +286,6 @@ class TestMarketIntegration:
         assert isinstance(rebuilt["cp"], Pool)
         assert isinstance(rebuilt["w"], WeightedPool)
 
-    def test_swap_apply_matches_object_path(self, registry):
-        arrays = MarketArrays(registry)
-        pool = registry["ss"]
-        out = pool.swap(DAI, 250.0)
-        arrays.apply_events(pool.events)
-        i = arrays.pool_index["ss"]
-        assert arrays.reserve0[i] == pool.reserve0  # bit-identical mirror
-        assert arrays.reserve1[i] == pool.reserve1
-        assert out > 0
-
     def test_descriptor_registry(self):
         cpmm = family_descriptor(FAMILY_CPMM)
         ss = family_descriptor(FAMILY_STABLESWAP)

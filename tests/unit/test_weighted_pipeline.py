@@ -26,7 +26,13 @@ from repro.core import PriceMap, Token
 from repro.data import MarketSnapshot
 from repro.engine import EvaluationEngine
 from repro.market import MarketArrays
-from repro.replay import ReplayDriver, apply_event, generate_event_stream, rebind_loops
+from repro.replay import (
+    ReplayDriver,
+    apply_block_events,
+    apply_event,
+    generate_event_stream,
+    rebind_loops,
+)
 from repro.service.worker import BlockWork, ShardWorker
 from repro.strategies import MaxMaxStrategy, MaxPriceStrategy
 
@@ -126,12 +132,17 @@ class TestWeightedShardWorker:
         return ShardWorker(0, store, loops, MaxMaxStrategy(), market.prices)
 
     @staticmethod
-    def _feed(worker, stream) -> dict:
-        """Play ingest for every block; return the last published entry
-        per loop id."""
+    def _feed(worker, market, stream) -> dict:
+        """Play ingest for every block (events to a private copy of
+        ``market``, dirty rows pulled into the store); return the last
+        published entry per loop id."""
+        private = market.copy()
         published = {entry.loop_id: entry for entry in worker.initial_entries()}
         for block, events in stream.iter_blocks():
-            worker.store.apply_events(events)
+            _, dirty, _, _ = apply_block_events(
+                private.registry, private.prices, events
+            )
+            worker.store.pull(private.registry, dirty)
             update = worker.process_block(
                 BlockWork.from_events(block, events, worker.store.pool_index)
             )
@@ -142,7 +153,7 @@ class TestWeightedShardWorker:
         self, mixed_market, mixed_stream
     ):
         worker = self._worker(mixed_market)
-        published = self._feed(worker, mixed_stream)
+        published = self._feed(worker, mixed_market, mixed_stream)
         copy = mixed_market.copy()
         prices = copy.prices
         for event in mixed_stream:
@@ -160,7 +171,7 @@ class TestWeightedShardWorker:
         worker = self._worker(mixed_market)
         assert worker.evaluator_stats.scalar_loops == 0  # priming pass
         worker._evaluator.min_batch = 1
-        self._feed(worker, mixed_stream)
+        self._feed(worker, mixed_market, mixed_stream)
         assert worker.evaluator_stats.scalar_loops == 0
         assert worker.evaluator_stats.kernel_loops > 0
 
