@@ -17,8 +17,8 @@ stream a first-class artifact and re-runs arbitrage detection
   mispricing reporting.
 
 The ``repro-arb replay`` CLI command and the simulation engine's event
-emission both build on this package; ``benchmarks/
-bench_replay_throughput.py`` pins the incremental speedup.
+emission both build on this package; the ``replay_throughput``
+section of ``benchmarks/gates.py`` pins the incremental speedup.
 """
 
 from .apply import (

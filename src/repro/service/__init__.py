@@ -20,7 +20,8 @@ event stream:
   :class:`ServiceMetrics` registry (events/sec, queue depths,
   per-stage p50/p99 latency);
 * :mod:`~repro.service.loadgen` — the measurement harness behind
-  ``repro-arb loadgen`` and ``benchmarks/bench_service_throughput.py``.
+  ``repro-arb loadgen`` and the ``service_throughput`` section of
+  ``benchmarks/gates.py``.
 
 On a quiesced stream the book is bit-identical to batch detection on
 the final market state, for any shard count and either backend.

@@ -5,8 +5,8 @@ Builds a seeded synthetic market and event stream, offers it to an
 fast as the pipeline will take it), and reduces the run to a flat
 :class:`LoadReport` — sustained events/sec, end-to-end latency
 quantiles, drop and backpressure accounting.  The
-``repro-arb loadgen`` command and ``benchmarks/
-bench_service_throughput.py`` are thin wrappers over this module, so
+``repro-arb loadgen`` command and the ``service_throughput`` section of
+``benchmarks/gates.py`` are thin wrappers over this module, so
 CLI runs, CI smoke runs, and the full benchmark ladder all measure
 exactly the same code path.
 """

@@ -478,6 +478,7 @@ class ProcessShardPool:
         self._ctx = mp.get_context(start_method)
         self._cleanup = cleanup
         self._closed = False
+        self._finished: set[int] = set()  # shards sent their sentinel
         # the result path is bounded too (the pipeline's backpressure
         # must reach the children): a slow publish stage blocks shard
         # puts instead of letting updates pile up in IPC buffers
@@ -529,6 +530,7 @@ class ProcessShardPool:
 
     def finish(self, shard: int) -> None:
         self._put(shard, None)
+        self._finished.add(shard)
 
     def next_message(self, poll_s: float = 1.0):
         """Blocking read of the shared result queue (call off-loop).
@@ -549,9 +551,13 @@ class ProcessShardPool:
                         )
 
     def join(self, timeout: float = 5.0) -> None:
-        for process in self.processes:
-            process.join(timeout=timeout)
-            if process.is_alive():  # pragma: no cover - defensive
+        """Wait up to ``timeout`` for each child that was sent its
+        end-of-stream sentinel, and terminate at once every other live
+        child: one never finished (an aborted run) cannot exit by itself."""
+        for shard, process in enumerate(self.processes):
+            if shard in self._finished:
+                process.join(timeout=timeout)
+            if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
 

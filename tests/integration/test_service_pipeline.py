@@ -10,6 +10,7 @@ rides on the same small workloads.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -367,9 +368,7 @@ class TestFailurePaths:
     ):
         market, _ = workload
         before = _market_segments()
-        # one shard: on an aborted run the process backend waits out a
-        # 5 s join per shard process before terminating it
-        service = OpportunityService(market, n_shards=1, backend=backend)
+        service = OpportunityService(market, n_shards=2, backend=backend)
         pool = next(
             p for p in market.registry if service.plan.shards_for_pool(p.pool_id)
         )
@@ -379,8 +378,12 @@ class TestFailurePaths:
             yield bogus
 
         try:
+            t0 = time.perf_counter()
             with pytest.raises(error, match=match):
                 await service.run(corrupt_source())
+            # shard processes that were never sent their end-of-stream
+            # sentinel are stopped at once, not joined until a timeout
+            assert time.perf_counter() - t0 < 5.0
             # the run's own teardown unlinked the segment
             assert _market_segments() <= before
         finally:
