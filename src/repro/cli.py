@@ -892,7 +892,8 @@ def _cmd_serve(args) -> None:
     print(
         f"{result.events_ingested} events ({result.events_dropped} dropped) in "
         f"{result.duration_s:.3f}s -> {result.events_per_s:,.0f} ev/s; "
-        f"{result.evaluations} loop evaluations "
+        f"{result.evaluations} loop evaluations, "
+        f"{result.loops_remonetized} of them re-monetised "
         f"({result.loops_pruned} pruned by bounds); "
         f"end-to-end p50 {e2e.get('p50_ms', 0.0):.2f}ms / "
         f"p99 {e2e.get('p99_ms', 0.0):.2f}ms"

@@ -34,6 +34,7 @@ __all__ = [
     "SolverConvergenceError",
     "StrategyError",
     "MissingPriceError",
+    "InvalidPriceError",
     "ExecutionError",
     "PlanValidationError",
     "ExecutionRevertedError",
@@ -113,6 +114,11 @@ class StrategyError(ReproError):
 
 class MissingPriceError(StrategyError, KeyError):
     """A CEX price was required for a token the oracle does not quote."""
+
+
+class InvalidPriceError(StrategyError, ValueError):
+    """A CEX price that is not finite or is negative (a price map entry
+    or a streamed price tick)."""
 
 
 class ExecutionError(ReproError):

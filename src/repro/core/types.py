@@ -20,14 +20,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import MissingPriceError
+from .errors import InvalidPriceError, MissingPriceError
 
 __all__ = [
     "Token",
     "TokenAmount",
     "PriceMap",
     "ProfitVector",
+    "is_valid_price",
 ]
+
+
+def is_valid_price(price: float) -> bool:
+    """The one rule for a usable CEX price: finite and ``>= 0``.
+    :class:`PriceMap` and the service's ingest both apply it."""
+    return math.isfinite(price) and price >= 0
 
 
 @dataclass(frozen=True, order=True)
@@ -115,8 +122,8 @@ class PriceMap(Mapping[Token, float]):
         for token, price in items.items():
             if not isinstance(token, Token):
                 raise TypeError(f"PriceMap keys must be Token, got {token!r}")
-            if not math.isfinite(price) or price < 0:
-                raise ValueError(
+            if not is_valid_price(price):
+                raise InvalidPriceError(
                     f"price of {token} must be finite and >= 0, got {price}"
                 )
         self._prices: dict[Token, float] = items

@@ -65,7 +65,7 @@ from .integer_kernel import (
     integer_batch_quotes,
     integer_hops,
 )
-from .kernel import BatchQuotes, batch_quotes, monetize_quotes, oriented_reserves
+from .kernel import BatchQuotes, batch_quotes, monetize_rotations, oriented_reserves
 from .oracle import (
     ORACLE_DPS,
     OracleQuote,
@@ -134,7 +134,7 @@ __all__ = [
     "have_mpmath",
     "integer_batch_quotes",
     "integer_hops",
-    "monetize_quotes",
+    "monetize_rotations",
     "monetized_bounds",
     "needs_chain_kernel",
     "oracle_monetized",

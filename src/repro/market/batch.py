@@ -7,7 +7,11 @@ against a :class:`~repro.market.arrays.MarketArrays`, plus
 :meth:`repro.strategies.base.Strategy.evaluate_many` that quotes every
 requested loop in one kernel pass per rotation and returns
 :class:`~repro.strategies.base.StrategyResult` objects bit-identical
-to the scalar path.
+to the scalar path.  Every group pass is two steps: quote the
+rotations the strategy monetizes (``quote_rotations`` stops there and
+hands the price-independent half to the service's shards, which keep
+it), then monetize and select through the shared
+:func:`~repro.market.kernel.monetize_rotations`.
 
 Dispatch is total over the paper's three fixed-start strategies: each
 compiled group routes to the kernel matching its family and the
@@ -61,6 +65,7 @@ from ..strategies.traditional import (
     TraditionalStrategy,
     quote_profit_vector,
     result_from_quote,
+    rotation_quote,
 )
 from ..amm.families import pool_family
 from .arrays import MarketArrays
@@ -74,7 +79,7 @@ from .integer_kernel import (
     exact_loop_quote,
     integer_batch_quotes,
 )
-from .kernel import BatchQuotes, batch_quotes, monetize_quotes
+from .kernel import BatchQuotes, batch_quotes, monetize_rotations
 from .shm import PoolHandle
 from .weighted_kernel import (
     chain_quotes,
@@ -303,12 +308,14 @@ class BatchEvaluator:
     def monetized_bounds(
         self,
         strategy: Strategy,
-        prices: PriceMap,
+        prices: PriceMap | np.ndarray,
         indices: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Sound upper bound on each loop's monetized profit under
         ``strategy`` (see :mod:`repro.market.bounds`): entry ``i``
-        bounds ``indices[i]``.
+        bounds ``indices[i]``.  ``prices`` is a price map or a price
+        vector already aligned with the arrays' tokens (NaN =
+        unquoted).
 
         ``+inf`` — the vacuous bound — where no cheap sound bound
         exists: scalar-fallback loops and non-batchable strategies.
@@ -337,21 +344,25 @@ class BatchEvaluator:
         with trace.span(
             "kernel.bounds", loops=len(positions), groups=len(by_group)
         ):
+            price_vec = self._price_vector(prices)
             for gi, pairs in by_group.items():
                 group = self.groups[gi]
                 rows = [row for _, row in pairs]
-                sub = (
-                    group
-                    if rows == list(range(len(group)))
-                    else group.rows(rows)
-                )
+                sub = group if _all_rows(rows, group) else group.rows(rows)
                 self.stats.bound_passes += 1
                 values = _group_monetized_bounds(
-                    kind, strategy, self.arrays, sub, prices
+                    kind, strategy, self.arrays, sub, price_vec
                 )
                 for (i, _), value in zip(pairs, values):
                     out[i] = value
         return out
+
+    def _price_vector(self, prices: PriceMap | np.ndarray) -> np.ndarray:
+        """``prices`` aligned with the arrays' tokens, built once per
+        call (a vector passes through)."""
+        if isinstance(prices, np.ndarray):
+            return prices
+        return self.arrays.price_vector(prices)
 
     def evaluate_many(
         self,
@@ -392,6 +403,7 @@ class BatchEvaluator:
         live = [p for p in positions if p not in pruned]
         if kind is not None and live:
             with trace.span("kernel.batch_quotes", loops=len(live)) as sp:
+                price_vec = self._price_vector(prices)
                 by_group: dict[int, list[int]] = {}
                 for position in live:
                     where = self._where.get(position)
@@ -407,7 +419,7 @@ class BatchEvaluator:
                     for position, result in zip(
                         sub.positions,
                         _evaluate_group(
-                            kind, strategy, self.arrays, sub, prices, quote_fn
+                            kind, strategy, self.arrays, sub, price_vec, quote_fn
                         ),
                     ):
                         results[int(position)] = result
@@ -424,6 +436,93 @@ class BatchEvaluator:
         if self.exact:
             self._annotate_exact(results)
         return [results.get(position) for position in positions]
+
+    def quote_rotations(
+        self,
+        strategy: Strategy,
+        price_vec: np.ndarray,
+        indices: Sequence[int],
+    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The price-independent half of ``strategy`` on the loops at
+        ``indices``: every rotation the strategy would monetize, quoted
+        but not monetized.
+
+        Returns ``{group index: (rows, offsets, amount_in, profit)}``
+        over the compiled groups the loops fall in: row ``k`` is the
+        group's loop ``rows[k]``, and column ``c`` quotes its rotation
+        ``offsets[k, c]`` — every rotation under MaxMax, the fixed or
+        max-price start under Traditional / MaxPrice (one column,
+        chosen from ``price_vec``).  :func:`monetize_rotations` turns
+        them into the monetized profit :meth:`evaluate_many` reports,
+        at any later price vector.
+
+        Routes like :meth:`evaluate_many`: a kernel pass per group
+        slice of at least ``min_batch`` loops, :func:`rotation_quote`
+        on pool objects materialized from the columns for the rest.
+        Only for strategies with a :func:`batch_kind` over compiled
+        loops.
+        """
+        kind = batch_kind(strategy)
+        if kind is None:
+            raise ValueError(
+                f"{strategy!r} has no batch kind to quote rotations for"
+            )
+        by_group: dict[int, list[int]] = {}
+        for position in indices:
+            gi, row = self._where[position]
+            by_group.setdefault(gi, []).append(row)
+        kernel = {
+            gi: rows
+            for gi, rows in by_group.items()
+            if len(rows) >= self.min_batch
+        }
+        n_kernel = sum(len(rows) for rows in kernel.values())
+        n_scalar = len(indices) - n_kernel
+        out = {}
+        with (
+            trace.span("kernel.batch_quotes", loops=n_kernel)
+            if kernel
+            else trace.NOOP
+        ):
+            for gi, rows in kernel.items():
+                group = self.groups[gi]
+                sub = group if _all_rows(rows, group) else group.rows(rows)
+                offsets, _, amount_in, profit = _quote_group(
+                    kind, strategy, self.arrays, sub, price_vec,
+                    _quote_fn(group, strategy.method),
+                )
+                self.stats.kernel_passes += 1
+                out[gi] = (
+                    np.asarray(rows, dtype=np.intp), offsets, amount_in, profit
+                )
+        with (
+            trace.span("kernel.scalar_quotes", loops=n_scalar)
+            if n_scalar
+            else trace.NOOP
+        ):
+            for gi, rows in by_group.items():
+                if gi in kernel:
+                    continue
+                group = self.groups[gi]
+                offsets = _rotation_offsets(
+                    kind, strategy, group.rows(rows), price_vec
+                )
+                amount_in = np.empty(offsets.shape, dtype=np.float64)
+                profit = np.empty(offsets.shape, dtype=np.float64)
+                for k, row in enumerate(rows):
+                    loop = self._scalar_loop(int(group.positions[row]))
+                    for c, offset in enumerate(offsets[k]):
+                        quote = rotation_quote(
+                            Rotation(loop, int(offset)), strategy.method
+                        )
+                        amount_in[k, c] = quote.amount_in
+                        profit[k, c] = quote.profit
+                out[gi] = (
+                    np.asarray(rows, dtype=np.intp), offsets, amount_in, profit
+                )
+        self.stats.kernel_loops += n_kernel
+        self.stats.scalar_loops += n_scalar
+        return out
 
     def _scalar_loop(self, position: int) -> ArbitrageLoop:
         """The loop the scalar route quotes at ``position``.
@@ -481,11 +580,7 @@ class BatchEvaluator:
         for gi, group_positions in by_group.items():
             group = self.groups[gi]
             rows = [self._where[p][1] for p in group_positions]
-            sub = (
-                group
-                if rows == list(range(len(group)))
-                else group.rows(rows)
-            )
+            sub = group if _all_rows(rows, group) else group.rows(rows)
             offsets = np.asarray(
                 [
                     sub.token_offset[k][results[p].start_token]
@@ -594,21 +689,15 @@ def _assemble(
     )
 
 
+def _all_rows(rows: list[int], group: CompiledLoopGroup) -> bool:
+    """Whether ``rows`` is the whole group in order (lengths first, so
+    the common partial slice never builds the comparison list)."""
+    return len(rows) == len(group) and rows == list(range(len(group)))
+
+
 def _raise_missing_price(group: CompiledLoopGroup, k: int, offset: int):
     token = group.loops[k].tokens[offset]
     raise MissingPriceError(f"no CEX price for token {token.symbol!r}")
-
-
-def _check_monetized(
-    monetized: np.ndarray, group: CompiledLoopGroup, offsets: np.ndarray
-) -> None:
-    """A NaN can only come from monetizing a profitable rotation whose
-    start token has no CEX price — the case where the scalar path
-    raises too."""
-    bad = np.isnan(monetized)
-    if bad.any():
-        k = int(np.argmax(bad))
-        _raise_missing_price(group, k, int(offsets[k]))
 
 
 def pruned_zero_result(
@@ -666,128 +755,93 @@ def pruned_zero_result(
     )
 
 
+def _rotation_offsets(
+    kind: str,
+    strategy: Strategy,
+    group: CompiledLoopGroup,
+    price_vec: np.ndarray,
+) -> np.ndarray:
+    """The ``(len(group), r)`` rotation offsets ``strategy`` quotes:
+    every rotation under MaxMax, its start under Traditional (the
+    numeraire, or each loop's first token) and MaxPrice (the
+    max-price token)."""
+    count = len(group)
+    if kind == "maxmax":
+        return np.broadcast_to(np.arange(group.length), (count, group.length))
+    if kind == "maxprice":
+        price_matrix = price_vec[group.token_idx]
+        missing = np.isnan(price_matrix)
+        if missing.any():
+            k = int(np.argmax(missing.any(axis=1)))
+            _raise_missing_price(group, k, int(np.argmax(missing[k])))
+        return group.max_price_offsets(price_matrix)[:, None]
+    start = strategy.start_token
+    if start is None:
+        return np.zeros((count, 1), dtype=np.intp)
+    offsets = []
+    for loop, token_offset in zip(group.loops, group.token_offset):
+        offset = token_offset.get(start)
+        if offset is None:
+            raise StrategyError(
+                f"start token {start} is not in {loop!r}; the traditional "
+                "strategy needs a loop through its numeraire"
+            )
+        offsets.append(offset)
+    return np.asarray(offsets, dtype=np.intp)[:, None]
+
+
+def _quote_group(
+    kind: str,
+    strategy: Strategy,
+    arrays: MarketArrays,
+    group: CompiledLoopGroup,
+    price_vec: np.ndarray,
+    quote_fn: QuoteFn,
+) -> tuple[np.ndarray, list[BatchQuotes], np.ndarray, np.ndarray]:
+    """Quote the rotations ``strategy`` monetizes, one kernel pass per
+    column: returns ``(offsets, quotes, amount_in, profit)`` where
+    ``quotes[c]`` quotes rotation ``offsets[:, c]`` of every loop and
+    the two matrices stack its optimal inputs and profits."""
+    offsets = _rotation_offsets(kind, strategy, group, price_vec)
+    if kind == "maxmax":
+        # a shared offset per pass: the kernels' cheaper gather
+        quotes = [quote_fn(arrays, group, c) for c in range(group.length)]
+    else:
+        quotes = [quote_fn(arrays, group, offsets[:, 0])]
+    return (
+        offsets,
+        quotes,
+        np.column_stack([column.amount_in for column in quotes]),
+        np.column_stack([column.profit for column in quotes]),
+    )
+
+
 def _evaluate_group(
     kind: str,
     strategy: Strategy,
     arrays: MarketArrays,
     group: CompiledLoopGroup,
-    prices: PriceMap,
+    price_vec: np.ndarray,
     quote_fn: QuoteFn,
 ) -> list[StrategyResult]:
-    if kind == "traditional":
-        return _traditional_group(strategy, arrays, group, prices, quote_fn)
-    if kind == "maxprice":
-        return _maxprice_group(strategy, arrays, group, prices, quote_fn)
-    return _maxmax_group(strategy, arrays, group, prices, quote_fn)
-
-
-def _traditional_group(
-    strategy: TraditionalStrategy,
-    arrays: MarketArrays,
-    group: CompiledLoopGroup,
-    prices: PriceMap,
-    quote_fn: QuoteFn,
-) -> list[StrategyResult]:
-    count = len(group)
-    start = strategy.start_token
-    if start is None:
-        offsets = np.zeros(count, dtype=np.intp)
-    else:
-        offset_list = []
-        for loop, token_offset in zip(group.loops, group.token_offset):
-            offset = token_offset.get(start)
-            if offset is None:
-                raise StrategyError(
-                    f"start token {start} is not in {loop!r}; the traditional "
-                    "strategy needs a loop through its numeraire"
-                )
-            offset_list.append(offset)
-        offsets = np.asarray(offset_list, dtype=np.intp)
-    quotes = quote_fn(arrays, group, offsets)
-    price_vec = arrays.price_vector(prices)
-    start_prices = price_vec[group.token_idx[np.arange(count), offsets]]
-    monetized = monetize_quotes(quotes, start_prices)
-    _check_monetized(monetized, group, offsets)
-    return [
-        _assemble(group, k, int(offsets[k]), quotes, float(monetized[k]),
-                  strategy.name, strategy.method)
-        for k in range(count)
-    ]
-
-
-def _maxprice_group(
-    strategy: MaxPriceStrategy,
-    arrays: MarketArrays,
-    group: CompiledLoopGroup,
-    prices: PriceMap,
-    quote_fn: QuoteFn,
-) -> list[StrategyResult]:
-    count = len(group)
-    price_vec = arrays.price_vector(prices)
-    price_matrix = price_vec[group.token_idx]
-    missing = np.isnan(price_matrix)
-    if missing.any():
-        k = int(np.argmax(missing.any(axis=1)))
-        _raise_missing_price(group, k, int(np.argmax(missing[k])))
-    # ``max_price_token``: highest price, ties to the smallest symbol.
-    # Ranks are a per-row permutation, so masking non-maximal columns
-    # to `length` and taking argmin reproduces the (-price, symbol)
-    # sort exactly.
-    row_max = price_matrix.max(axis=1)
-    ranked = np.where(
-        price_matrix == row_max[:, None], group.symbol_rank, group.length
+    offsets, quotes, amount_in, profit = _quote_group(
+        kind, strategy, arrays, group, price_vec, quote_fn
     )
-    offsets = np.argmin(ranked, axis=1)
-    quotes = quote_fn(arrays, group, offsets)
-    start_prices = price_matrix[np.arange(count), offsets]
-    monetized = monetize_quotes(quotes, start_prices)
-    return [
-        _assemble(group, k, int(offsets[k]), quotes, float(monetized[k]),
-                  strategy.name, strategy.method)
-        for k in range(count)
-    ]
-
-
-def _maxmax_group(
-    strategy: MaxMaxStrategy,
-    arrays: MarketArrays,
-    group: CompiledLoopGroup,
-    prices: PriceMap,
-    quote_fn: QuoteFn,
-) -> list[StrategyResult]:
-    count = len(group)
-    n = group.length
-    price_vec = arrays.price_vector(prices)
-    quotes_by_offset: list[BatchQuotes] = []
-    monetized = np.empty((n, count), dtype=np.float64)
-    for offset in range(n):
-        quotes = quote_fn(arrays, group, offset)
-        quotes_by_offset.append(quotes)
-        start_prices = price_vec[group.token_idx[:, offset]]
-        monetized[offset] = monetize_quotes(quotes, start_prices)
-    bad = np.isnan(monetized)
-    if bad.any():
-        k = int(np.argmax(bad.any(axis=0)))
-        _raise_missing_price(group, k, int(np.argmax(bad[:, k])))
-    # first maximal rotation wins, like the scalar strict-`>` scan
-    best = np.argmax(monetized, axis=0)
+    best, monetized = monetize_rotations(
+        group, np.arange(len(group)), offsets, amount_in, profit, price_vec
+    )
     results = []
-    for k in range(count):
-        offset = int(best[k])
-        loop = group.loops[k]
-        per_rotation = {
-            loop.tokens[j].symbol: float(monetized[j, k]) for j in range(n)
-        }
+    for k, c in enumerate(best.tolist()):
+        extra = None
+        if kind == "maxmax":
+            symbols = [token.symbol for token in group.loops[k].tokens]
+            extra = {
+                "per_rotation": dict(zip(symbols, monetized[k].tolist()))
+            }
         results.append(
             _assemble(
-                group,
-                k,
-                offset,
-                quotes_by_offset[offset],
-                float(monetized[offset, k]),
-                strategy.name,
-                strategy.method,
-                {"per_rotation": per_rotation},
+                group, k, int(offsets[k, c]), quotes[c],
+                float(monetized[k, c]), strategy.name, strategy.method, extra,
             )
         )
     return results

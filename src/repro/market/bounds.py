@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.types import PriceMap
 from .arrays import MarketArrays
 from .compile import CompiledLoopGroup
 from .families import family_descriptor
@@ -179,20 +178,20 @@ def monetized_bounds(
     strategy,
     arrays: MarketArrays,
     group: CompiledLoopGroup,
-    prices: PriceMap,
+    price_vec: np.ndarray,
 ) -> np.ndarray:
     """Per-loop upper bound on the *monetized* profit under ``kind``.
 
     ``kind`` is the evaluator's dispatch kind (``"traditional"`` /
     ``"maxprice"`` / ``"maxmax"``, see
     :func:`repro.market.batch.batch_kind`); the bound covers the
-    rotation(s) that strategy would monetize.  NaN where a price the
+    rotation(s) that strategy would monetize.  ``price_vec`` holds the
+    USD prices aligned with ``arrays.tokens``.  NaN where a price the
     strategy needs is missing — unprunable by construction, so the
     exact path keeps ownership of raising ``MissingPriceError``.
     """
     count = len(group)
     per_rotation = rotation_profit_bounds(arrays, group)
-    price_vec = arrays.price_vector(prices)
     price_matrix = price_vec[group.token_idx]
     with np.errstate(**_SILENT):
         if kind == "traditional":
@@ -217,13 +216,7 @@ def monetized_bounds(
         if kind == "maxprice":
             # the exact pass raises on *any* missing loop price; a NaN
             # anywhere in the row must make the row unprunable
-            row_max = price_matrix.max(axis=1)
-            ranked = np.where(
-                price_matrix == row_max[:, None],
-                group.symbol_rank,
-                group.length,
-            )
-            offsets = np.argmin(ranked, axis=1)
+            offsets = group.max_price_offsets(price_matrix)
             rows = np.arange(count)
             bounds = price_matrix[rows, offsets] * per_rotation[rows, offsets]
             any_nan = np.isnan(price_matrix).any(axis=1)

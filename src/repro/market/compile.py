@@ -98,6 +98,24 @@ class CompiledLoopGroup:
     def __len__(self) -> int:
         return len(self.loops)
 
+    def max_price_offsets(
+        self, price_matrix: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """MaxPrice's start offset for each of ``rows`` (all when
+        ``None``), given their ``(len(rows), length)`` token prices.
+
+        ``max_price_token``'s rule: highest price, ties to the smallest
+        symbol.  Ranks are a per-row permutation, so masking
+        non-maximal columns to ``length`` and taking argmin reproduces
+        the ``(-price, symbol)`` sort exactly.  Rows holding a NaN
+        price get an arbitrary offset: callers decide what a missing
+        price means for them.
+        """
+        rank = self.symbol_rank if rows is None else self.symbol_rank[rows]
+        row_max = price_matrix.max(axis=1)
+        ranked = np.where(price_matrix == row_max[:, None], rank, self.length)
+        return np.argmin(ranked, axis=1)
+
     def rows(self, sel: Sequence[int]) -> "CompiledLoopGroup":
         """Sub-group restricted to matrix rows ``sel`` (in order)."""
         rows = np.asarray(sel, dtype=np.intp)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.errors import MissingPriceError
 from ..strategies.traditional import RotationQuote
 from .arrays import MarketArrays
 from .compile import CompiledLoopGroup
@@ -46,7 +47,7 @@ __all__ = [
     "batch_quotes",
     "compose_group",
     "gather_hops",
-    "monetize_quotes",
+    "monetize_rotations",
     "oriented_reserves",
     "simulate_hops",
 ]
@@ -218,14 +219,38 @@ def batch_quotes(
     )
 
 
-def monetize_quotes(
-    quotes: BatchQuotes, start_prices: np.ndarray
-) -> np.ndarray:
-    """Monetized profit per row: ``P_start * profit`` where a
-    profitable input exists, 0.0 otherwise (the scalar path's empty
-    profit vector never touches the price map, so rows without a
-    profitable input must not read — or propagate NaN from — the
-    price)."""
-    return np.where(
-        quotes.amount_in > 0.0, start_prices * quotes.profit, 0.0
-    )
+def monetize_rotations(
+    group: CompiledLoopGroup,
+    rows: np.ndarray,
+    offsets: np.ndarray,
+    amount_in: np.ndarray,
+    profit: np.ndarray,
+    price_vec: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monetize quoted rotations and pick each loop's best one.
+
+    The one place the monetization rules live, shared by the batch
+    evaluator's group passes and the service's shard re-monetization.
+    Row ``k`` is the group's loop ``rows[k]``; its column ``c`` quotes
+    the rotation starting at ``loop.tokens[offsets[k, c]]`` with
+    ``amount_in[k, c]`` in and ``profit[k, c]`` (start-token units) out.
+    ``price_vec`` holds USD prices aligned with the arrays' tokens
+    (NaN = unquoted).
+
+    Returns ``(best, monetized)``: ``monetized[k, c]`` is ``P_start *
+    profit`` where a profitable input exists and 0.0 otherwise (the
+    scalar path's empty profit vector never touches the price map, so
+    rows without a profitable input must not read — or propagate NaN
+    from — the price), and ``best[k]`` is the first maximal column,
+    like the scalar strict-``>`` scan.  A profitable rotation whose
+    start has no price raises :class:`MissingPriceError`, as the scalar
+    path does.
+    """
+    start_prices = price_vec[group.token_idx[rows[:, None], offsets]]
+    monetized = np.where(amount_in > 0.0, start_prices * profit, 0.0)
+    bad = np.isnan(monetized)
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        token = group.loops[rows[k]].tokens[offsets[k, int(np.argmax(bad[k]))]]
+        raise MissingPriceError(f"no CEX price for token {token.symbol!r}")
+    return np.argmax(monetized, axis=1), monetized

@@ -21,12 +21,16 @@ asyncio pipeline::
   and the dirty rows are copied into the store before the block is
   dispatched — plain in-process :class:`~repro.market.MarketArrays` on
   the inline backend, a :class:`~repro.market.SharedMarketArrays`
-  segment under a single-writer seqlock on the process backend.
+  segment under a single-writer seqlock on the process backend.  A
+  price tick that is not finite or is negative stops the run with
+  :class:`~repro.core.errors.InvalidPriceError` before its block is
+  written or dispatched: shards take tick prices as given.
 * **Shards** map each block's dirty store rows and ticked tokens to
-  their slice of the loop universe and re-quote only those loops (see
-  :mod:`repro.service.worker`), either inline on the event loop or in
-  long-lived child processes (``backend="process"``) for multi-core
-  throughput.
+  their slice of the loop universe and re-evaluate only those loops —
+  tick-only loops re-monetized from stored rotation quotes, the rest
+  bound-pruned and re-quoted (see :mod:`repro.service.worker`) —
+  either inline on the event loop or in long-lived child processes
+  (``backend="process"``) for multi-core throughput.
 * **Publish** applies each shard's updates to the
   :class:`~repro.service.book.OpportunityBook` as a sequenced delta
   and records per-stage latencies into :class:`ServiceMetrics`.
@@ -46,7 +50,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import AsyncIterator
 
-from ..amm.events import BurnEvent, MarketEvent, MintEvent, SwapEvent
+from ..amm.events import BurnEvent, MarketEvent, MintEvent, PriceTickEvent, SwapEvent
+from ..core.errors import InvalidPriceError
+from ..core.types import is_valid_price
 from ..data.snapshot import MarketSnapshot
 from ..engine import EvaluationEngine
 from ..market import MarketArrays, SharedMarketArrays
@@ -126,6 +132,9 @@ class ServiceReport:
     book: BookSnapshot
     metrics: dict
     loops_pruned: int = 0
+    #: How many of ``evaluations`` were tick-only loops re-monetized
+    #: from their stored rotation quotes (no bound, no solve).
+    loops_remonetized: int = 0
     #: Memory accounting: the column store (held once), per-shard
     #: private column and handle bytes, and RSS high-water marks (see
     #: ``OpportunityService._memory_report``).
@@ -149,6 +158,7 @@ class ServiceReport:
             "events_per_s": self.events_per_s,
             "evaluations": self.evaluations,
             "loops_pruned": self.loops_pruned,
+            "loops_remonetized": self.loops_remonetized,
             "n_shards": self.n_shards,
             "backend": self.backend,
             "loops_per_shard": list(self.loops_per_shard),
@@ -196,11 +206,13 @@ class OpportunityService:
         block carries the book's K-th profit (computed excluding every
         loop with results still in flight) as a threshold, and shards
         skip the exact quote for dirty loops whose profit upper bound
-        *and* currently published profit both sit below it.  The
-        quiesced top-``prune_top_k`` book is identical to the unpruned
-        run; entries below rank K may retain stale (provably
-        sub-threshold) values.  ``None`` (default) disables pruning —
-        the full-book parity mode.
+        *and* currently published profit both sit below it (and skip
+        republishing a re-monetized loop whose new and published
+        values both do).  The quiesced top-``prune_top_k`` book is
+        identical to the unpruned run; entries below rank K may retain
+        stale (provably sub-threshold) values.  ``None`` (default)
+        disables pruning — the full-book parity mode, in which every
+        dirty loop is published.
     shared:
         Not a setting: whether the store is a shared-memory segment
         follows from ``backend``.  ``None`` (default) accepts that; an
@@ -427,6 +439,18 @@ class OpportunityService:
                 await route_and_dispatch(t_ingest, sp)
 
         async def route_and_dispatch(t_ingest: float, sp) -> None:
+            for event in buffer:
+                # shards trust tick prices (they write them straight
+                # into their price vectors), so a bad one stops the run
+                # here, before the block is written or dispatched
+                if isinstance(event, PriceTickEvent) and not is_valid_price(
+                    event.price
+                ):
+                    raise InvalidPriceError(
+                        f"price tick for {event.token} in block "
+                        f"{event.block} must be finite and >= 0, got "
+                        f"{event.price}"
+                    )
             routed = self.plan.route_block(buffer)
             if not routed:
                 return  # block touched nothing any shard evaluates
@@ -467,7 +491,7 @@ class OpportunityService:
                 work = BlockWork.from_events(
                     current_block,
                     events,
-                    self._store.pool_index,
+                    self._store,
                     epoch=epoch,
                     t_ingest=t_ingest,
                     threshold=threshold,
@@ -595,6 +619,7 @@ class OpportunityService:
             metrics.inc("updates_published")
             metrics.inc("evaluations", update.evaluated)
             metrics.inc("loops_pruned", update.pruned)
+            metrics.inc("loops_remonetized", update.remonetized)
             # seqlock retry accounting (zero in-process; zero-valued
             # incs still materialize the counters for every report)
             metrics.inc("shm_epoch_waits", update.shm_epoch_waits)
@@ -764,6 +789,7 @@ class OpportunityService:
             blocks_dropped=counters.get("blocks_dropped", 0),
             evaluations=counters.get("evaluations", 0),
             loops_pruned=counters.get("loops_pruned", 0),
+            loops_remonetized=counters.get("loops_remonetized", 0),
             n_shards=self.n_shards,
             backend=self.backend,
             loops_per_shard=self.plan.loops_per_shard(),

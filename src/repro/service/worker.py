@@ -6,13 +6,33 @@ the one column store the ingest stage writes — plain in-process
 :class:`~repro.market.SharedMarketView` of the shared-memory segment
 on the process backend — and holds no reserve state of its own: its
 loops are rebound onto reserve-less :class:`~repro.market.PoolHandle`
-stand-ins and compiled against the store once.  Per block it
+stand-ins and compiled against the store once.  What it does keep is
+the price-independent half of every fixed-start evaluation it ran: per
+loop, the optimal input and the start-token profit of each rotation
+its strategy monetizes (every rotation for MaxMax, the start for
+Traditional and MaxPrice), plus a price vector aligned with the
+store's tokens that ticks update in place.  Per block it
 
 1. syncs to the block (on a segment, waits for the block's seqlock
    epoch),
-2. maps the block's dirty store rows and ticked tokens to its loops,
-3. bound-prunes the dirty loops against the book's threshold, and
-4. quotes the rest through :class:`~repro.market.BatchEvaluator`.
+2. maps the block's dirty store rows and ticked token indices to its
+   loops, updating the price vector and dropping the stored quotes of
+   every loop whose pools moved,
+3. re-monetizes the loops dirtied only by ticks whose stored quotes are
+   still valid — one numpy pass of ``price × profit`` through
+   :func:`~repro.market.monetize_rotations`, no bound and no solve
+   (MaxPrice only while the quoted start is still the max-price
+   token),
+4. bound-prunes the other dirty loops against the book's threshold, and
+5. quotes the rest through :class:`~repro.market.BatchEvaluator`,
+   storing their rotation quotes for later ticks.
+
+A loop's stored quotes are valid from the quote that produced them
+until the next block whose dirty rows touch one of its pools; a
+bound-pruned pool-dirty loop has none until it is quoted again.  On the
+process backend a quote may read reserves newer than its block; the
+block that moved those rows reaches the shard later and drops them.
+Strategies without a batch kind (convex) re-solve every dirty loop.
 
 Quotes route through the batch kernels, except dirty slices below the
 evaluator's ``min_batch`` and scalar-only strategies (convex), which
@@ -34,29 +54,33 @@ Workers are plain synchronous objects, so the pipeline can run them
   multi-core throughput (each shard burns its own interpreter).
 
 Either way the per-block work item is :class:`BlockWork` — (block id,
-epoch, dirty row indices, price ticks) — so nothing resembling market
-state crosses the process boundary after construction.
+epoch, dirty row indices, price ticks by store token index) — so
+nothing resembling market state crosses the process boundary after
+construction.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import sys
 import time
 import traceback
 from dataclasses import dataclass
 from queue import Empty, Full
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..amm.events import BurnEvent, MarketEvent, MintEvent, PriceTickEvent, SwapEvent
-from ..core.types import Token
+from ..core.types import PriceMap
 from ..market import (
     BatchEvaluator,
     MarketArrays,
     SharedMarketView,
+    batch_kind,
     below_threshold,
+    monetize_rotations,
     pool_handles,
 )
 from ..replay.apply import build_loop_indices, rebind_loops
@@ -80,19 +104,22 @@ class BlockWork:
     No market state crosses the process boundary: ``epoch`` names the
     seqlock epoch at which the writer committed this block (0 on an
     in-process store), ``rows`` the store rows the block dirtied, and
-    ``ticks`` the block's price updates (stream data, not market state
-    — prices feed the monetization map each shard tracks locally).  A
-    work item pickles to a few hundred bytes regardless of market size.
+    ``ticks`` the block's price updates as ``(store token index,
+    price)`` pairs (stream data, not market state — each shard keeps
+    its own price vector, aligned with the store's tokens).  Ingest has
+    already validated every tick price (finite, ``>= 0``).  A work item
+    pickles to a few hundred bytes regardless of market size.
 
     ``threshold`` is the pruning feedback from the book: the K-th
     profit among entries whose value is final for this block (``None``
-    disables pruning — every dirty loop gets an exact quote).
+    disables pruning — every dirty loop gets an exact value, and every
+    one is published).
     """
 
     block: int
     epoch: int
     rows: tuple[int, ...]
-    ticks: tuple[tuple[Token, float], ...]
+    ticks: tuple[tuple[int, float], ...]
     t_ingest: float  # perf_counter at ingest (monotonic across processes on Linux)
     t_dispatch: float
     threshold: float | None = None
@@ -102,21 +129,22 @@ class BlockWork:
         cls,
         block: int,
         events: Iterable[MarketEvent],
-        pool_index: Mapping[str, int],
+        store: MarketArrays,
         *,
         epoch: int = 0,
         t_ingest: float = 0.0,
         threshold: float | None = None,
     ) -> "BlockWork":
-        """The work item for ``events`` already written to the store:
-        their dirty rows (ordered, deduplicated) plus the price ticks."""
+        """The work item for ``events`` already written to ``store``
+        (which must still carry its ``pool_index``): their dirty rows
+        (ordered, deduplicated) plus the price ticks."""
         rows: dict[int, None] = {}
-        ticks: list[tuple[Token, float]] = []
+        ticks: list[tuple[int, float]] = []
         for event in events:
             if isinstance(event, PriceTickEvent):
-                ticks.append((event.token, event.price))
+                ticks.append((store.token_index[event.token], event.price))
             elif isinstance(event, (SwapEvent, MintEvent, BurnEvent)):
-                rows.setdefault(pool_index[event.pool_id])
+                rows.setdefault(store.pool_index[event.pool_id])
         return cls(
             block=block,
             epoch=epoch,
@@ -132,11 +160,13 @@ class BlockWork:
 class ShardUpdate:
     """A shard's output for one block: changed entries + work stats.
 
-    ``evaluated`` counts exact quotes; ``pruned`` counts dirty loops
-    answered by the bound pass alone (``evaluated + pruned`` = the
-    block's dirty-set size on this shard).  The ``shm_*`` counters are
-    the shared-memory seqlock's retry accounting for this block (zero
-    on an in-process store).
+    ``evaluated`` counts dirty loops whose value is exact for the block:
+    exact quotes plus ``remonetized``, the tick-only loops valued from
+    their stored rotation quotes without a solve.  ``pruned`` counts
+    dirty loops answered by the bound pass alone (``evaluated +
+    pruned`` = the block's dirty-set size on this shard).  The
+    ``shm_*`` counters are the shared-memory seqlock's retry accounting
+    for this block (zero on an in-process store).
     """
 
     shard: int
@@ -147,6 +177,7 @@ class ShardUpdate:
     t_ingest: float
     t_dispatch: float
     pruned: int = 0
+    remonetized: int = 0
     shm_epoch_waits: int = 0
     shm_torn_retries: int = 0
 
@@ -162,8 +193,9 @@ class ShardWorker:
     ``store`` is the service's in-process :class:`MarketArrays` or a
     :class:`SharedMarketView` of its segment; either must still carry
     its ``pool_index`` (build workers in the parent, before pickling).
-    The worker keeps, per loop, only what the book shows — last
-    published profit, amount in, start token — never a pool object.
+    The worker keeps, per loop, what the book shows — last published
+    profit, amount in, start token — and, for strategies with a batch
+    kind, the rotation quotes behind it; never a pool object.
     """
 
     def __init__(
@@ -172,7 +204,7 @@ class ShardWorker:
         store: MarketArrays | SharedMarketView,
         loops: Sequence,
         strategy: Strategy,
-        prices,
+        prices: PriceMap,
     ):
         if store.pool_index is None:
             raise ValueError(
@@ -191,15 +223,23 @@ class ShardWorker:
                 f"{len(self._evaluator.fallback_positions)} loops cross "
                 "pools the store does not hold"
             )
-        # store row -> this shard's loop positions (BlockWork routes by row)
-        pool_loops, self._token_loops = build_loop_indices(self.loops)
+        # store row / store token index -> this shard's loop positions
+        # (BlockWork routes by both)
+        pool_loops, token_loops = build_loop_indices(self.loops)
         self._row_loops: dict[int, tuple[int, ...]] = {
             store.pool_index[pool_id]: positions
             for pool_id, positions in pool_loops.items()
         }
+        self._token_loops: dict[int, tuple[int, ...]] = {
+            store.token_index[token]: positions
+            for token, positions in token_loops.items()
+        }
         self._loop_ids = tuple(loop.canonical_id for loop in self.loops)
         self._paths = tuple(_loop_path(loop) for loop in self.loops)
-        self.prices = prices
+        # CEX prices aligned with the store's tokens (NaN = unquoted);
+        # ticks write it in place
+        self._prices = store.price_vector(prices)
+        self._kind = batch_kind(strategy)
         n = len(self.loops)
         # the book-facing state per loop: last published monetized
         # profit (also the "stored" side of the prune predicate),
@@ -207,7 +247,32 @@ class ShardWorker:
         self._profits = np.empty(n, dtype=np.float64)
         self._amounts: list[float | None] = [None] * n
         self._starts: list[str | None] = [None] * n
-        self._record(range(n), self._quote(list(range(n))))
+        if self._kind is None:
+            self._price_map: PriceMap | None = None
+            self._quote(list(range(n)))
+            return
+        # the price-independent half, per compiled group: rotation
+        # offsets, optimal inputs and start-token profits of each row
+        # (one column per rotation the strategy monetizes), plus which
+        # loops' quotes still match the store
+        self._group_of = np.empty(n, dtype=np.intp)
+        self._row_of = np.empty(n, dtype=np.intp)
+        self._stored = []
+        for gi, group in enumerate(self._evaluator.groups):
+            self._group_of[group.positions] = gi
+            self._row_of[group.positions] = np.arange(len(group))
+            width = group.length if self._kind == "maxmax" else 1
+            self._stored.append(
+                (
+                    np.zeros((len(group), width), dtype=np.intp),
+                    np.zeros((len(group), width), dtype=np.float64),
+                    np.zeros((len(group), width), dtype=np.float64),
+                )
+            )
+        self._valid = np.zeros(n, dtype=bool)
+        everything = np.arange(n)
+        self._store_quotes(everything)
+        self._publish(everything, *self._monetize(everything))
 
     def __repr__(self) -> str:
         return (
@@ -270,13 +335,20 @@ class ShardWorker:
             shard=self.shard_id,
         )
 
-    def _record(self, indices: Iterable[int], results) -> None:
-        for index, result in zip(indices, results):
-            self._profits[index] = result.monetized_profit
-            self._amounts[index] = result.amount_in
-            self._starts[index] = (
-                result.start_token.symbol if result.start_token else None
-            )
+    def _publish(
+        self,
+        positions: np.ndarray,
+        values: np.ndarray,
+        amounts: np.ndarray,
+        starts: np.ndarray,
+    ) -> None:
+        """Make these monetized values the loops' book-facing state."""
+        self._profits[positions] = values
+        for index, amount, start in zip(
+            positions.tolist(), amounts.tolist(), starts.tolist()
+        ):
+            self._amounts[index] = amount
+            self._starts[index] = self.loops[index].tokens[start].symbol
 
     # ------------------------------------------------------------------
     # reads
@@ -290,15 +362,91 @@ class ShardWorker:
             return fn()
         return self._view.read_consistent(fn)
 
-    def _quote(self, indices: list[int]) -> list:
-        """Exact quotes of the loops at ``indices`` — kernels for large
-        slices, pool objects materialised from the columns for the
-        rest, all inside one read bracket."""
-        return self._read(
+    def _quote(self, indices: list[int]) -> None:
+        """Strategies without a batch kind: solve the loops at
+        ``indices`` on the scalar route (pool objects materialised
+        from the columns inside one read bracket) and make the results
+        their book-facing state."""
+        if self._price_map is None:
+            self._price_map = PriceMap(
+                {
+                    token: price
+                    for token, price in zip(self.store.tokens, self._prices.tolist())
+                    if not math.isnan(price)
+                }
+            )
+        results = self._read(
             lambda: self._evaluator.evaluate_many(
-                self.strategy, self.prices, indices=indices
+                self.strategy, self._price_map, indices=indices
             )
         )
+        for index, result in zip(indices, results):
+            self._profits[index] = result.monetized_profit
+            self._amounts[index] = result.amount_in
+            self._starts[index] = (
+                result.start_token.symbol if result.start_token else None
+            )
+
+    def _store_quotes(self, positions: np.ndarray) -> None:
+        """Quote the strategy's rotations of the loops at ``positions``
+        (one read bracket) and keep them as the loops' valid quotes."""
+        indices = positions.tolist()
+        quoted = self._read(
+            lambda: self._evaluator.quote_rotations(
+                self.strategy, self._prices, indices
+            )
+        )
+        for gi, (rows, offsets, amount_in, profit) in quoted.items():
+            stored_offsets, stored_amount_in, stored_profit = self._stored[gi]
+            stored_offsets[rows] = offsets
+            stored_amount_in[rows] = amount_in
+            stored_profit[rows] = profit
+            self._valid[self._evaluator.groups[gi].positions[rows]] = True
+
+    def _by_group(self, positions: np.ndarray):
+        """``(group index, selector into positions, group rows)`` per
+        compiled group the loops at ``positions`` fall in."""
+        groups = self._group_of[positions]
+        for gi in np.unique(groups).tolist():
+            sel = np.flatnonzero(groups == gi)
+            yield gi, sel, self._row_of[positions[sel]]
+
+    def _monetize(
+        self, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each loop's monetized profit from its stored quotes at the
+        current prices, with the amount in and the start offset of the
+        rotation that earns it."""
+        values = np.empty(len(positions), dtype=np.float64)
+        amounts = np.empty(len(positions), dtype=np.float64)
+        starts = np.empty(len(positions), dtype=np.intp)
+        for gi, sel, rows in self._by_group(positions):
+            stored_offsets, stored_amount_in, stored_profit = self._stored[gi]
+            offsets = stored_offsets[rows]
+            amount_in = stored_amount_in[rows]
+            best, monetized = monetize_rotations(
+                self._evaluator.groups[gi], rows, offsets, amount_in,
+                stored_profit[rows], self._prices,
+            )
+            k = np.arange(len(rows))
+            values[sel] = monetized[k, best]
+            amounts[sel] = amount_in[k, best]
+            starts[sel] = offsets[k, best]
+        return values, amounts, starts
+
+    def _start_moved(self, positions: np.ndarray) -> np.ndarray:
+        """MaxPrice: which loops' max-price start is no longer the start
+        of their stored quote (a missing price counts as moved, so the
+        quote path raises for it)."""
+        moved = np.empty(len(positions), dtype=bool)
+        for gi, sel, rows in self._by_group(positions):
+            group = self._evaluator.groups[gi]
+            price_matrix = self._prices[group.token_idx[rows]]
+            moved[sel] = (
+                group.max_price_offsets(price_matrix, rows)
+                != self._stored[gi][0][rows, 0]
+            ) | np.isnan(price_matrix).any(axis=1)
+        return moved
 
     def _seqlock_counters(self) -> tuple[int, int]:
         """Lifetime (epoch_waits, torn_retries); zero in-process."""
@@ -341,40 +489,85 @@ class ShardWorker:
                     if waits:
                         sync.set(waits=waits)
             with trace.span("shard.apply", rows=len(work.rows), ticks=len(work.ticks)):
-                touched: set[int] = set()
+                moved: set[int] = set()
                 for row in work.rows:
-                    touched.update(self._row_loops.get(row, ()))
+                    moved.update(self._row_loops.get(row, ()))
+                touched = set(moved)
                 for token, price in work.ticks:
-                    self.prices = self.prices.with_price(token, price)
+                    self._prices[token] = price
                     touched.update(self._token_loops.get(token, ()))
-            reeval = sorted(touched)
+                if work.ticks and self._kind is None:
+                    self._price_map = None
+                dirty = np.array(sorted(touched), dtype=np.intp)
+                if self._kind is None:
+                    remonetize = np.zeros(len(dirty), dtype=bool)
+                else:
+                    # a pool move invalidates the stored quotes; every
+                    # dirty loop still holding valid ones is tick-only
+                    self._valid[list(moved)] = False
+                    remonetize = self._valid[dirty]
+                    if self._kind == "maxprice" and remonetize.any():
+                        held = np.flatnonzero(remonetize)
+                        remonetize[held[self._start_moved(dirty[held])]] = False
+                ready, stale = dirty[remonetize], dirty[~remonetize]
             if work.threshold is None:
-                requote = reeval
+                requote = stale
             else:
-                requote = self._select_requotes(reeval, work.threshold)
-            with trace.span("shard.quote", loops=len(requote)):
-                self._record(requote, self._quote(requote))
-                entries = tuple(self._entry(index, work.block) for index in requote)
-            pruned = len(reeval) - len(requote)
+                requote = self._select_requotes(stale, work.threshold)
+            with trace.span(
+                "shard.quote", loops=len(requote), remonetized=len(ready)
+            ):
+                if self._kind is None:
+                    self._quote(requote.tolist())
+                    published = requote
+                else:
+                    if len(requote):
+                        self._store_quotes(requote)
+                    positions = np.concatenate([requote, ready])
+                    values, amounts, starts = self._monetize(positions)
+                    keep = np.ones(len(positions), dtype=bool)
+                    threshold = work.threshold
+                    if threshold is not None:
+                        # a re-monetized loop keeps its book entry on
+                        # the predicate a re-quote is held to: both its
+                        # new value and its published value below the
+                        # threshold
+                        fresh = slice(len(requote), None)
+                        keep[fresh] = ~(
+                            below_threshold(values[fresh], threshold)
+                            & below_threshold(self._profits[ready], threshold)
+                        )
+                    sel = np.flatnonzero(keep)
+                    sel = sel[np.argsort(positions[sel])]
+                    published = positions[sel]
+                    self._publish(published, values[sel], amounts[sel], starts[sel])
+                entries = tuple(
+                    self._entry(index, work.block) for index in published.tolist()
+                )
+            pruned = len(stale) - len(requote)
             self._evaluator.stats.pruned_loops += pruned
             waits1, torn1 = self._seqlock_counters()
-            sp.set(dirty=len(reeval), quoted=len(requote), pruned=pruned)
+            sp.set(
+                dirty=len(dirty), quoted=len(requote), remonetized=len(ready),
+                pruned=pruned,
+            )
         return ShardUpdate(
             shard=self.shard_id,
             block=work.block,
             entries=entries,
-            evaluated=len(requote),
+            evaluated=len(requote) + len(ready),
             eval_s=time.perf_counter() - t0,
             t_ingest=work.t_ingest,
             t_dispatch=work.t_dispatch,
             pruned=pruned,
+            remonetized=len(ready),
             shm_epoch_waits=waits1 - waits0,
             shm_torn_retries=torn1 - torn0,
         )
 
-    def _select_requotes(self, reeval: list[int], threshold: float) -> list[int]:
+    def _select_requotes(self, stale: np.ndarray, threshold: float) -> np.ndarray:
         """The dirty loops that need an exact quote at the given
-        threshold, in ``reeval`` order — one mask over the block.
+        threshold, in ``stale`` order — one mask over the block.
 
         A dirty loop may keep its stale book entry only when *both* its
         fresh profit upper bound and its currently published profit are
@@ -384,18 +577,18 @@ class ShardWorker:
         sitting in (or above) the top K either.  Everything else —
         including every NaN bound — gets requoted.
         """
-        if not reeval:
-            return []
-        with trace.span("shard.bounds", loops=len(reeval)):
+        if not len(stale):
+            return stale
+        with trace.span("shard.bounds", loops=len(stale)):
             bounds = self._read(
                 lambda: self._evaluator.monetized_bounds(
-                    self.strategy, self.prices, indices=reeval
+                    self.strategy, self._prices, indices=stale.tolist()
                 )
             )
         stale_ok = below_threshold(bounds, threshold) & below_threshold(
-            self._profits[reeval], threshold
+            self._profits[stale], threshold
         )
-        return [index for index, keep in zip(reeval, stale_ok) if not keep]
+        return stale[~stale_ok]
 
 
 # ----------------------------------------------------------------------

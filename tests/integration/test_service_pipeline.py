@@ -14,9 +14,12 @@ import time
 
 import pytest
 
-from repro.amm.events import BurnEvent, MintEvent, SwapEvent
-from repro.core.errors import InvalidReserveError, UnknownPoolError
-from repro.replay import generate_event_stream
+from repro.amm import Pool, PoolRegistry
+from repro.amm.events import BurnEvent, MintEvent, PriceTickEvent, SwapEvent
+from repro.core import PriceMap, Token
+from repro.core.errors import InvalidPriceError, InvalidReserveError, UnknownPoolError
+from repro.data.snapshot import MarketSnapshot
+from repro.replay import MarketEventLog, generate_event_stream
 from repro.service import (
     OpportunityService,
     batch_detect_ranking as batch_book,
@@ -28,7 +31,7 @@ from repro.service import (
 )
 from repro.simulation import SimulationEngine
 from repro.simulation.agents import RetailTrader
-from repro.strategies import MaxPriceStrategy
+from repro.strategies import MaxMaxStrategy, MaxPriceStrategy, TraditionalStrategy
 
 
 def book_pairs(report):
@@ -54,6 +57,33 @@ class TestQuiescedParity:
         service = OpportunityService(market, n_shards=3, strategy=strategy)
         report = await service.run(log_source(log))
         assert book_pairs(report) == batch_book(market, log, strategy=strategy)
+
+    @pytest.mark.parametrize("prune_top_k", [None, 5])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize(
+        "strategy_cls", [TraditionalStrategy, MaxPriceStrategy, MaxMaxStrategy]
+    )
+    async def test_remonetized_books_match_batch_detect(
+        self, workload, strategy_cls, backend, prune_top_k
+    ):
+        """Shards re-monetise tick-only loops for every fixed-start
+        strategy; the quiesced book (its top K when pruned) still equals
+        batch detection on either backend."""
+        market, log = workload
+        strategy = strategy_cls()
+        service = OpportunityService(
+            market, n_shards=2, strategy=strategy, backend=backend,
+            prune_top_k=prune_top_k,
+        )
+        report = await service.run(log_source(log))
+        want = batch_book(market, log, strategy=strategy)
+        if prune_top_k is None:
+            assert book_pairs(report) == want
+        else:
+            assert [
+                (o.profit_usd, o.loop_id) for o in report.book.top(prune_top_k)
+            ] == want[:prune_top_k]
+        assert report.loops_remonetized > 0
 
     async def test_shard_count_never_changes_numbers(self, workload):
         market, log = workload
@@ -357,6 +387,18 @@ MALFORMED_EVENTS = [
         ),
         InvalidReserveError, "ratio", id="off-ratio-mint",
     ),
+    pytest.param(
+        lambda pool: PriceTickEvent(pool.token0, float("nan"), block=0),
+        InvalidPriceError, "finite", id="nan-tick",
+    ),
+    pytest.param(
+        lambda pool: PriceTickEvent(pool.token0, float("inf"), block=0),
+        InvalidPriceError, "finite", id="inf-tick",
+    ),
+    pytest.param(
+        lambda pool: PriceTickEvent(pool.token0, -1.0, block=0),
+        InvalidPriceError, ">= 0", id="negative-tick",
+    ),
 ]
 
 
@@ -411,17 +453,18 @@ class TestFailurePaths:
         pool = ProcessShardPool([worker], maxsize=4, cleanup=segment.unlink)
         pool.start()
         try:
-            # a NaN price tick makes process_block raise in the child
-            token = worker.loops[0].tokens[0]
+            # a tick on a token index the store does not hold makes
+            # process_block raise in the child
             pool.submit(0, BlockWork(
-                block=0, epoch=0, rows=(), ticks=((token, float("nan")),),
+                block=0, epoch=0, rows=(),
+                ticks=((len(segment.tokens), 1.0),),
                 t_ingest=0.0, t_dispatch=0.0,
             ))
             kind, payload = pool.next_message(poll_s=0.2)
             assert kind == "error"
             shard, tb = payload
             assert shard == 0
-            assert "must be finite" in tb
+            assert "IndexError" in tb
         finally:
             pool.close(timeout=2.0)
 
@@ -574,6 +617,40 @@ class TestBoundPruning:
             gauges[f"shard{s}_pruned_loops"] for s in range(2)
         ) == report.loops_pruned
         assert report.to_dict()["loops_pruned"] == report.loops_pruned
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: with pruning on, a kept sub-threshold entry "
+        "rises into the top K with a stale value once the entries above "
+        "it fall",
+    )
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    async def test_pruned_top_k_shows_no_stale_entry(self, backend):
+        """Three disjoint triangles A, X and Y (a->b pools mispriced
+        1300, 1250, 1200).  Block 1 closes most of X's arbitrage while
+        A holds the threshold, so X is pruned and keeps its old entry;
+        block 2 does the same to A.  The top 1 must then be Y."""
+        registry, prices = PoolRegistry(), {}
+        for name, b_reserve in (("A", 1300.0), ("X", 1250.0), ("Y", 1200.0)):
+            a, b, c = (Token(f"{name}{suffix}") for suffix in "abc")
+            registry.add(Pool(a, b, 1000.0, b_reserve, pool_id=f"{name}-ab"))
+            registry.add(Pool(b, c, 1000.0, 1000.0, pool_id=f"{name}-bc"))
+            registry.add(Pool(c, a, 1000.0, 1000.0, pool_id=f"{name}-ca"))
+            prices.update({a: 1.0, b: 1.0, c: 1.0})
+        market = MarketSnapshot(registry, PriceMap(prices))
+        log = MarketEventLog(
+            SwapEvent(
+                pool_id=f"{name}-ab", token_in=Token(f"{name}a"),
+                token_out=Token(f"{name}b"), amount_in=150.0, amount_out=0.0,
+                block=block,
+            )
+            for block, name in ((1, "X"), (2, "A"))
+        )
+        service = OpportunityService(market, prune_top_k=1, backend=backend)
+        report = await service.run(log_source(log))
+        assert [(o.profit_usd, o.loop_id) for o in report.book.top(1)] == (
+            batch_book(market, log)[:1]
+        )
 
     def test_prune_top_k_must_be_positive(self, workload):
         market, _ = workload

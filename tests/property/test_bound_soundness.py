@@ -33,7 +33,7 @@ from repro.core import ArbitrageLoop, PriceMap, Token
 from repro.data import SyntheticMarketGenerator
 from repro.market import BatchEvaluator, MarketArrays, below_threshold
 from repro.replay import ReplayDriver, generate_event_stream
-from repro.service import OpportunityService, log_source
+from repro.service import OpportunityService, batch_detect_ranking, log_source
 from repro.strategies import (
     MaxMaxStrategy,
     MaxPriceStrategy,
@@ -121,13 +121,17 @@ def test_bound_dominates_exact_profit(market, m):
     stream_seed=st.integers(0, 2**16),
     n_blocks=st.integers(0, 4),
     events_per_block=st.integers(0, 5),
-    ticks=st.integers(0, 2),
+    ticks=st.integers(0, 4),
     n_shards=st.integers(1, 3),
     k=st.integers(1, 5),
+    strategy_cls=st.sampled_from(
+        [TraditionalStrategy, MaxPriceStrategy, MaxMaxStrategy]
+    ),
 )
 @settings(max_examples=10, deadline=None)
 def test_pruned_service_equals_unpruned_book(
-    market_seed, stream_seed, n_blocks, events_per_block, ticks, n_shards, k
+    market_seed, stream_seed, n_blocks, events_per_block, ticks, n_shards, k,
+    strategy_cls,
 ):
     market = SyntheticMarketGenerator(
         n_tokens=7, n_pools=14, seed=market_seed, price_noise=0.02
@@ -140,9 +144,12 @@ def test_pruned_service_equals_unpruned_book(
         price_ticks_per_block=ticks,
     )
 
+    strategy = strategy_cls()
+
     def run(prune_top_k):
         service = OpportunityService(
-            market, n_shards=n_shards, prune_top_k=prune_top_k
+            market, n_shards=n_shards, prune_top_k=prune_top_k,
+            strategy=strategy,
         )
         return asyncio.run(service.run(log_source(log)))
 
@@ -152,6 +159,7 @@ def test_pruned_service_equals_unpruned_book(
     got = [(o.profit_usd, o.loop_id) for o in pruned.book.top(k)]
     want = [(o.profit_usd, o.loop_id) for o in exact.book.top(k)]
     assert got == want
+    assert want == batch_detect_ranking(market, log, strategy=strategy)[:k]
     # work accounting closes: every dirtied loop was either exactly
     # re-quoted or provably below the running threshold
     assert pruned.evaluations + pruned.loops_pruned == exact.evaluations

@@ -17,6 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro.data import SyntheticMarketGenerator
 from repro.replay import generate_event_stream
 from repro.service import OpportunityService, batch_detect_ranking, log_source
+from repro.strategies import MaxMaxStrategy, MaxPriceStrategy, TraditionalStrategy
+
+#: the fixed-start strategies whose shards re-monetize ticks from
+#: stored rotation quotes
+FIXED_START = st.sampled_from(
+    [TraditionalStrategy, MaxPriceStrategy, MaxMaxStrategy]
+)
 
 
 @given(
@@ -24,12 +31,14 @@ from repro.service import OpportunityService, batch_detect_ranking, log_source
     stream_seed=st.integers(0, 2**16),
     n_blocks=st.integers(0, 4),
     events_per_block=st.integers(0, 5),
-    ticks=st.integers(0, 2),
+    ticks=st.integers(0, 4),
     n_shards=st.integers(1, 4),
+    strategy_cls=FIXED_START,
 )
 @settings(max_examples=10, deadline=None)
 def test_quiesced_service_equals_batch_detect(
-    market_seed, stream_seed, n_blocks, events_per_block, ticks, n_shards
+    market_seed, stream_seed, n_blocks, events_per_block, ticks, n_shards,
+    strategy_cls,
 ):
     market = SyntheticMarketGenerator(
         n_tokens=7, n_pools=14, seed=market_seed, price_noise=0.02
@@ -41,11 +50,12 @@ def test_quiesced_service_equals_batch_detect(
         seed=stream_seed,
         price_ticks_per_block=ticks,
     )
-    service = OpportunityService(market, n_shards=n_shards)
+    strategy = strategy_cls()
+    service = OpportunityService(market, n_shards=n_shards, strategy=strategy)
     report = asyncio.run(service.run(log_source(log)))
 
     got = [(o.profit_usd, o.loop_id) for o in report.book.entries]
-    assert got == batch_detect_ranking(market, log)
+    assert got == batch_detect_ranking(market, log, strategy=strategy)
     # conservation of work accounting: nothing dropped under backpressure
     assert report.events_dropped == 0
     assert report.events_ingested == len(log)

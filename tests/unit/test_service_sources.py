@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.amm.events import PriceTickEvent
+from repro.amm.events import PriceTickEvent, SwapEvent
 from repro.market import MarketArrays, PoolHandle
 from repro.replay import apply_block_events, generate_event_stream, rebind_loops
 from repro.service import (
@@ -18,7 +18,7 @@ from repro.service import (
     paced,
 )
 from repro.service.worker import BlockWork
-from repro.strategies import MaxMaxStrategy
+from repro.strategies import MaxMaxStrategy, MaxPriceStrategy
 
 
 @pytest.fixture(scope="module")
@@ -128,19 +128,123 @@ class TestShardWorker:
         best = max(range(len(loops)), key=profits.__getitem__)
         threshold = profits[best]
         assert threshold > 0.0 and profits.count(threshold) == 1
-        # every loop token's price down 1e9x: all loops are dirty and
-        # every fresh monetized bound falls far below the threshold,
-        # while the published profits stay as they were
-        tokens = sorted({t for loop in loops for t in loop.tokens}, key=str)
-        ticks = [PriceTickEvent(t, market.prices[t] * 1e-9, block=1) for t in tokens]
+        # a small swap on one of the best loop's pools sends it (and
+        # every loop sharing that pool) down the bound path; every loop
+        # token's price down 1e9x makes each fresh monetized bound fall
+        # far below the threshold, while the published profits stay as
+        # they were
+        pool = loops[best].pools[0]
+        swap = SwapEvent(
+            pool_id=pool.pool_id, token_in=pool.token0, token_out=pool.token1,
+            amount_in=pool.reserve0 * 1e-6, amount_out=0.0, block=1,
+        )
+        crossing = sum(
+            pool.pool_id in {p.pool_id for p in loop.pools} for loop in loops
+        )
         update = worker.process_block(
-            BlockWork.from_events(
-                1, ticks, worker.store.pool_index, threshold=threshold
+            _write(
+                market.copy(), worker.store, 1, [swap, *_crash_ticks(market, loops)],
+                threshold=threshold,
             )
         )
         assert [entry.loop_id for entry in update.entries] == [entries[best].loop_id]
-        assert update.evaluated == 1
-        assert update.pruned == len(loops) - 1
+        assert update.evaluated - update.remonetized == 1
+        assert update.pruned == crossing - 1
+        # the rest were dirtied by ticks alone and held valid quotes
+        assert update.remonetized == len(loops) - crossing
+
+    def test_published_profit_at_threshold_is_republished_on_ticks(self, workload):
+        """The tick-only twin: every loop is re-monetized from its
+        stored quotes, and the at-threshold loop is the only entry
+        published — the predicate a re-quote is held to."""
+        market, _ = workload
+        loops = _loops_for(market)
+        worker = _worker(market, loops)
+        entries = worker.initial_entries()
+        profits = [entry.profit_usd for entry in entries]
+        best = max(range(len(loops)), key=profits.__getitem__)
+        threshold = profits[best]
+        update = worker.process_block(
+            BlockWork.from_events(
+                1, _crash_ticks(market, loops), worker.store, threshold=threshold
+            )
+        )
+        assert [entry.loop_id for entry in update.entries] == [entries[best].loop_id]
+        assert update.evaluated == update.remonetized == len(loops)
+        assert update.pruned == 0
+
+    def test_pruned_pool_move_drops_stored_quotes(self, workload):
+        """A loop bound-pruned after a swap holds no valid quotes: a
+        later tick values it with a fresh quote, never from its
+        pre-swap rotation quotes."""
+        market, _ = workload
+        loops = _loops_for(market)
+        worker = _worker(market, loops)
+        profits = [entry.profit_usd for entry in worker.initial_entries()]
+        target = loops[max(range(len(loops)), key=profits.__getitem__)]
+        pool = target.pools[0]
+        private = market.copy()
+        swap = SwapEvent(
+            pool_id=pool.pool_id, token_in=pool.token0, token_out=pool.token1,
+            amount_in=pool.reserve0 * 0.01, amount_out=0.0, block=1,
+        )
+        # a threshold no bound reaches: every dirty loop is pruned
+        update = worker.process_block(
+            _write(private, worker.store, 1, [swap], threshold=1e18)
+        )
+        assert update.entries == () and update.evaluated == 0
+        token = target.tokens[1]
+        prices = market.prices.with_price(token, market.prices[token] * 1.1)
+        tick = PriceTickEvent(token, prices[token], block=2)
+        update = worker.process_block(_write(private, worker.store, 2, [tick]))
+        entry = next(e for e in update.entries if e.loop_id == target.canonical_id)
+        fresh = MaxMaxStrategy().evaluate(_current(private, target), prices)
+        assert entry.profit_usd == fresh.monetized_profit
+        assert entry.amount_in == fresh.amount_in
+        assert entry.start_symbol == fresh.start_token.symbol
+
+    def test_maxprice_start_move_requotes(self, workload):
+        """A tick that makes another token the loop's max-price start
+        re-quotes the loop from that start; its stored quote from the
+        old start is never re-monetized."""
+        market, _ = workload
+        loops = _loops_for(market)
+        strategy = MaxPriceStrategy()
+        worker = _worker(market, loops, strategy=strategy)
+        target = loops[0]
+        start = market.prices.max_price_token(target.tokens)
+        other = next(t for t in target.tokens if t != start)
+        prices = market.prices.with_price(other, market.prices[start] * 2.0)
+        tick = PriceTickEvent(other, prices[other], block=1)
+        private = market.copy()
+        update = worker.process_block(_write(private, worker.store, 1, [tick]))
+        by_id = {entry.loop_id: entry for entry in update.entries}
+        assert by_id[target.canonical_id].start_symbol == other.symbol
+        ticked = [loop for loop in loops if other in loop.tokens]
+        assert sorted(by_id) == sorted(loop.canonical_id for loop in ticked)
+        for loop in ticked:
+            entry = by_id[loop.canonical_id]
+            fresh = strategy.evaluate(_current(private, loop), prices)
+            assert entry.profit_usd == fresh.monetized_profit
+            assert entry.amount_in == fresh.amount_in
+            assert entry.start_symbol == fresh.start_token.symbol
+        # the loops whose start moved were quoted, the rest re-monetized
+        assert update.remonetized == sum(
+            market.prices.max_price_token(loop.tokens)
+            == prices.max_price_token(loop.tokens)
+            for loop in ticked
+        )
+
+
+def _crash_ticks(market, loops):
+    """Every loop token's price down 1e9x, at block 1."""
+    tokens = sorted({t for loop in loops for t in loop.tokens}, key=str)
+    return [PriceTickEvent(t, market.prices[t] * 1e-9, block=1) for t in tokens]
+
+
+def _current(private, loop):
+    """``loop`` over the current pool objects of ``private``."""
+    return rebind_loops([loop], private.registry)[0]
 
 
 def _loops_for(market, length=3):
@@ -162,13 +266,13 @@ def _worker(market, loops, shard_id=0, strategy=None):
     )
 
 
-def _write(private, store, block, events):
+def _write(private, store, block, events, threshold=None):
     """Play the ingest stage: apply ``events`` to its private market
     copy, pull the dirty rows into the store, then build the block's
     work item."""
     _, dirty, _, _ = apply_block_events(private.registry, private.prices, events)
     store.pull(private.registry, dirty)
-    return BlockWork.from_events(block, events, store.pool_index)
+    return BlockWork.from_events(block, events, store, threshold=threshold)
 
 
 def test_generate_stream_feeds_worker_consistently(workload):

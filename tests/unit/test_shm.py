@@ -285,13 +285,14 @@ class TestPoolHandle:
 
 
 def test_shared_block_work_pickles_small():
-    # BlockWork carries rows and ticks, never market state — the
-    # pickle must stay a few hundred bytes regardless of market size
+    # BlockWork carries rows and (token index, price) ticks, never
+    # market state — the pickle must stay a few hundred bytes
+    # regardless of market size
     work = BlockWork(
         block=7,
         epoch=14,
         rows=tuple(range(8)),
-        ticks=((X, 1.25), (Y, 0.5)),
+        ticks=((0, 1.25), (1, 0.5)),
         t_ingest=0.0,
         t_dispatch=0.0,
         threshold=1.0,

@@ -144,7 +144,7 @@ class TestWeightedShardWorker:
             )
             worker.store.pull(private.registry, dirty)
             update = worker.process_block(
-                BlockWork.from_events(block, events, worker.store.pool_index)
+                BlockWork.from_events(block, events, worker.store)
             )
             published.update((entry.loop_id, entry) for entry in update.entries)
         return published
