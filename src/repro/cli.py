@@ -190,14 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="maxmax",
                    help="comma-separated registry names to score loops with")
     p.add_argument("--mode", choices=("incremental", "full"), default="incremental")
-    p.add_argument("--scalar", action="store_true",
-                   help="disable the cross-loop batch kernels for per-block "
-                   "re-quotes (correctness oracle; identical numbers, slower)")
     p.add_argument("--no-prune", action="store_true",
                    help="disable the two-phase bound pass that skips exact "
                    "quotes for provably-unprofitable dirty loops (reports "
-                   "are bit-identical either way; pruning is auto-disabled "
-                   "by --scalar and --mode full)")
+                   "are bit-identical either way; --mode full never prunes)")
     p.add_argument("--save-events", help="write the replayed stream to a JSONL file")
     p.add_argument("--save-snapshot",
                    help="write the starting market to a JSON file "
@@ -701,17 +697,10 @@ def _cmd_replay(args) -> None:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
-    engine = None
-    if args.scalar:
-        from .engine import EvaluationEngine
-
-        engine = EvaluationEngine(vectorize=False)
-    prune = (
-        args.mode == "incremental" and not args.scalar and not args.no_prune
-    )
+    prune = args.mode == "incremental" and not args.no_prune
     driver = ReplayDriver(
         market, strategies=strategies, length=args.length, mode=args.mode,
-        engine=engine, prune=prune,
+        prune=prune,
     )
     result = driver.replay(log)
 
@@ -741,10 +730,9 @@ def _cmd_replay(args) -> None:
     print(f"cumulative profit surface: {totals}")
     print(
         f"loop evaluations: {result.evaluations()} "
-        f"(full recompute would be {driver.total_loops * len(result.reports)}); "
-        f"cache {driver.engine.cache!r}"
+        f"(full recompute would be {driver.total_loops * len(result.reports)})"
     )
-    if prune and driver.evaluator_stats is not None:
+    if prune:
         print(
             f"bound pruning skipped {driver.evaluator_stats.pruned_loops} "
             "exact quotes (--no-prune to disable; numbers are identical)"

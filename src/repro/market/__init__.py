@@ -38,12 +38,7 @@ step (:mod:`repro.engine`, :mod:`repro.replay`, :mod:`repro.service`):
 """
 
 from .arrays import FEE_PPM_DENOMINATOR, MarketArrays, quantize_fee
-from .batch import (
-    BatchEvaluator,
-    EvaluatorStats,
-    batch_kind,
-    pruned_zero_result,
-)
+from .batch import BatchEvaluator, EvaluatorStats, batch_kind
 from .bounds import (
     BOUND_RATE_MARGIN,
     below_threshold,
@@ -141,7 +136,6 @@ __all__ = [
     "oracle_quote",
     "oriented_reserves",
     "pool_handles",
-    "pruned_zero_result",
     "quantize_fee",
     "rel_error",
     "rotation_profit_bounds",

@@ -1,9 +1,9 @@
 """Strategy-level batch evaluation over columnar market state.
 
-:class:`BatchEvaluator` is the piece the engine, the replay driver,
-and the service's shard workers share: a fixed loop list compiled once
-against a :class:`~repro.market.arrays.MarketArrays`, plus
-``evaluate_many`` — the batch twin of
+:class:`BatchEvaluator` is the piece the engine and the service's
+shard workers (which incremental replay also runs) share: a fixed loop
+list compiled once against a :class:`~repro.market.arrays.MarketArrays`,
+plus ``evaluate_many`` — the batch twin of
 :meth:`repro.strategies.base.Strategy.evaluate_many` that quotes every
 requested loop in one kernel pass per rotation and returns
 :class:`~repro.strategies.base.StrategyResult` objects bit-identical
@@ -11,7 +11,10 @@ to the scalar path.  Every group pass is two steps: quote the
 rotations the strategy monetizes (``quote_rotations`` stops there and
 hands the price-independent half to the service's shards, which keep
 it), then monetize and select through the shared
-:func:`~repro.market.kernel.monetize_rotations`.
+:func:`~repro.market.kernel.monetize_rotations`.  ``evaluate_many``
+quotes every loop it is asked for; pruning belongs to the callers —
+``monetized_bounds`` gives each loop a sound profit upper bound, and
+``evaluate_top_k`` and the shard workers decide from it what to quote.
 
 Dispatch is total over the paper's three fixed-start strategies: each
 compiled group routes to the kernel matching its family and the
@@ -61,7 +64,6 @@ from ..strategies.base import Strategy, StrategyResult
 from ..strategies.maxmax import MaxMaxStrategy
 from ..strategies.maxprice import MaxPriceStrategy
 from ..strategies.traditional import (
-    RotationQuote,
     TraditionalStrategy,
     quote_profit_vector,
     result_from_quote,
@@ -69,7 +71,6 @@ from ..strategies.traditional import (
 )
 from ..amm.families import pool_family
 from .arrays import MarketArrays
-from .bounds import below_threshold
 from .bounds import monetized_bounds as _group_monetized_bounds
 from .compile import CompiledLoopGroup, compile_loops
 from .families import family_descriptor
@@ -91,7 +92,6 @@ __all__ = [
     "BatchEvaluator",
     "EvaluatorStats",
     "batch_kind",
-    "pruned_zero_result",
 ]
 
 #: Below this many loops per compiled group, the kernel's fixed numpy
@@ -370,8 +370,6 @@ class BatchEvaluator:
         prices: PriceMap,
         indices: Sequence[int] | None = None,
         cache=None,
-        *,
-        threshold: float | None = None,
     ) -> list[StrategyResult]:
         """Evaluate ``strategy`` on the loops at ``indices`` (all loops
         when ``None``); result ``i`` answers ``indices[i]``.
@@ -379,33 +377,17 @@ class BatchEvaluator:
         Bit-identical to ``[strategy.evaluate_cached(loops[i], prices,
         cache) for i in indices]`` — the kernels handle eligible
         slices, everything else falls back to exactly that call.
-
-        With ``threshold`` the evaluation is two-phase: a vectorized
-        bound pass first proves which loops cannot reach ``threshold``
-        (nor any positive profit), and only the surviving rows get an
-        exact quote — pruned rows return ``None``.
         """
         positions = (
             list(indices) if indices is not None else list(range(len(self.loops)))
         )
         kind = batch_kind(strategy)
-        pruned: set[int] = set()
-        if threshold is not None and kind is not None and positions:
-            bounds = self.monetized_bounds(strategy, prices, positions)
-            prunable = below_threshold(bounds, threshold)
-            pruned = {
-                position
-                for position, out in zip(positions, prunable)
-                if out
-            }
-            self.stats.pruned_loops += len(pruned)
         results: dict[int, StrategyResult] = {}
-        live = [p for p in positions if p not in pruned]
-        if kind is not None and live:
-            with trace.span("kernel.batch_quotes", loops=len(live)) as sp:
+        if kind is not None and positions:
+            with trace.span("kernel.batch_quotes", loops=len(positions)) as sp:
                 price_vec = self._price_vector(prices)
                 by_group: dict[int, list[int]] = {}
-                for position in live:
+                for position in positions:
                     where = self._where.get(position)
                     if where is not None:
                         by_group.setdefault(where[0], []).append(where[1])
@@ -425,17 +407,17 @@ class BatchEvaluator:
                         results[int(position)] = result
                 sp.set(kernel=len(results), passes=len(by_group))
         self.stats.kernel_loops += len(results)
-        n_scalar = len(live) - len(results)
+        n_scalar = len(positions) - len(results)
         self.stats.scalar_loops += n_scalar
         with trace.span("kernel.scalar_quotes", loops=n_scalar) if n_scalar else trace.NOOP:
-            for position in live:
+            for position in positions:
                 if position not in results:
                     results[position] = strategy.evaluate_cached(
                         self._scalar_loop(position), prices, cache
                     )
         if self.exact:
             self._annotate_exact(results)
-        return [results.get(position) for position in positions]
+        return [results[position] for position in positions]
 
     def quote_rotations(
         self,
@@ -698,61 +680,6 @@ def _all_rows(rows: list[int], group: CompiledLoopGroup) -> bool:
 def _raise_missing_price(group: CompiledLoopGroup, k: int, offset: int):
     token = group.loops[k].tokens[offset]
     raise MissingPriceError(f"no CEX price for token {token.symbol!r}")
-
-
-def pruned_zero_result(
-    strategy: Strategy, loop: ArbitrageLoop, prices: PriceMap
-) -> StrategyResult:
-    """The result standing in for a loop the bound pass proved
-    unprofitable (bound exactly 0.0, so the exact monetized profit is
-    provably <= 0 and reports as 0).
-
-    Mirrors what the exact pass returns for such a loop — zero input,
-    zero profit, the same start rotation the strategy would pick —
-    with ``details["pruned"] = True`` marking that no solver ran (so
-    ``iterations`` is 0 whatever the method; report aggregates never
-    read either field).
-    """
-    kind = batch_kind(strategy)
-    if kind is None:
-        raise ValueError(
-            f"{strategy!r} has no batch kind, so nothing can have been "
-            "pruned for it"
-        )
-    extra: dict | None = {"pruned": True}
-    if kind == "traditional":
-        start = (
-            strategy.start_token
-            if strategy.start_token is not None
-            else loop.tokens[0]
-        )
-        if start not in loop.tokens:
-            raise StrategyError(
-                f"start token {start} is not in {loop!r}; the traditional "
-                "strategy needs a loop through its numeraire"
-            )
-        rotation = loop.rotation_from(start)
-    elif kind == "maxprice":
-        rotation = loop.rotation_from(prices.max_price_token(loop.tokens))
-    else:
-        rotation = Rotation(loop, 0)  # the scalar all-zero tie-break
-        extra = {
-            "per_rotation": {t.symbol: 0.0 for t in loop.tokens},
-            "pruned": True,
-        }
-    quote = RotationQuote(
-        amount_in=0.0, hop_amounts=(), profit=0.0, iterations=0
-    )
-    return result_from_quote(
-        rotation,
-        quote,
-        None,
-        strategy.name,
-        strategy.method,
-        profit=quote_profit_vector(rotation, quote),
-        monetized=0.0,
-        extra_details=extra,
-    )
 
 
 def _rotation_offsets(

@@ -11,8 +11,9 @@ stream a first-class artifact and re-runs arbitrage detection
   N pools × M events;
 * :class:`ReplayDriver` — applies events to a private market copy and
   re-evaluates only the loops whose pools (or token prices) changed,
-  using the engine's reserve-keyed cache and topology-cached loop
-  universe; a full-recompute mode provides the parity oracle;
+  through one inline :class:`~repro.service.ShardWorker` per strategy
+  over a column store of that copy; a full-recompute mode provides the
+  parity oracle;
 * :class:`BlockReport` / :class:`ReplayResult` — per-block profit and
   mispricing reporting.
 

@@ -11,19 +11,20 @@ shard workers) — share these building blocks:
   including dropping the pools' own event records and, optionally,
   pulling the dirty pools into a columnar
   :class:`~repro.market.MarketArrays`.  Both consumers write their
-  column store this way — the driver its private mirror, the service's
-  ingest its shared store (calling ``pull`` itself, so that on a
-  shared-memory segment only the row copy runs under the seqlock) — so
-  the pool classes in :mod:`repro.amm` are the one place an event
+  column store this way — the driver its in-process store, the
+  service's ingest its shared store (calling ``pull`` itself, so that
+  on a shared-memory segment only the row copy runs under the seqlock)
+  — so the pool classes in :mod:`repro.amm` are the one place an event
   moves reserves;
 * :func:`build_loop_indices` — the inverted indices (pool id → loop
   positions, token → loop positions) that turn a dirty set into the
   exact set of loops whose stored results are stale;
 * :func:`rebind_loops` — point loops at another set of pool objects.
 
-Keeping the indices here means the service's per-shard dirty-set logic
-is the *same code* whose incremental/full parity the replay test suite
-pins down, not a reimplementation that could drift.
+The driver's incremental mode runs the service's
+:class:`~repro.service.ShardWorker` itself, so the dirty-set logic the
+replay parity suite pins down is the *same code* every shard runs,
+not a reimplementation that could drift.
 """
 
 from __future__ import annotations

@@ -5,25 +5,21 @@ through a private copy of a :class:`~repro.data.snapshot.MarketSnapshot`
 and re-runs arbitrage detection after every block.  Two modes, same
 numbers:
 
-* ``"incremental"`` (default) — dirty-set tracking.  The driver holds
-  the engine's topology-cached :class:`~repro.engine.LoopUniverse` and
-  two inverted indices (pool id → loops, token → loops).  A block's
-  swaps/mints/burns mark their pools dirty; price ticks mark their
-  tokens dirty.  Only loops over dirty pools are re-optimized (their
-  reserve-keyed cache entries are stale by construction), only loops
-  holding ticked tokens are re-monetized, and every other loop's
-  stored result is carried over untouched, costing zero.  Re-quotes go
-  through the cross-loop batch kernels (:mod:`repro.market`): the
-  driver mirrors its private market in a columnar
-  :class:`~repro.market.MarketArrays` (refreshed per block for the
-  dirty pools — weighted rows included, so the mirror never drifts)
-  and evaluates the whole dirty set in one vectorized pass per
-  strategy, weighted loops through the batched chain-rule solver;
-  only small dirty sets and non-batchable strategies fall back to
-  the scalar cached path.
-* ``"full"`` — every loop re-evaluated from scratch each block, no
-  cache.  The parity oracle: per-block reports must be bit-identical
-  to incremental mode, which the property and golden tests assert.
+* ``"incremental"`` (default) — the service's shard evaluator, run
+  inline.  Each block's events move the private copy's pools through
+  :func:`~repro.replay.apply.apply_block_events`, which pulls the dirty
+  pools' rows into one column store (:class:`~repro.market.MarketArrays`).
+  One :class:`~repro.service.ShardWorker` per strategy label, over that
+  store and the whole loop universe, then takes the block as a
+  :class:`~repro.service.BlockWork`: it re-quotes only the loops over
+  moved pools (through the batch kernels), re-monetizes the loops
+  dirtied only by price ticks from their stored rotation quotes, and
+  leaves every other loop's profit untouched.  The report reads each
+  worker's published-profit column.
+* ``"full"`` — every loop re-evaluated from scratch each block on the
+  scalar path, no cache.  The parity oracle: per-block reports must be
+  bit-identical to incremental mode, which the property and golden
+  tests assert.
 
 The equivalence rests on two facts the engine layer already pins down:
 a loop's optimal trade depends only on its pools' reserves, and its
@@ -41,9 +37,10 @@ from ..core.types import PriceMap
 from ..data.snapshot import MarketSnapshot
 from ..engine import EvaluationEngine
 from ..simulation.metrics import mispricing_index
-from ..strategies.base import Strategy, StrategyResult
+from ..market import EvaluatorStats, MarketArrays
+from ..service.worker import BlockWork, ShardWorker
+from ..strategies.base import Strategy
 from ..strategies.maxmax import MaxMaxStrategy
-from ..market import pruned_zero_result
 from ..telemetry import trace
 from ..telemetry.metrics import MetricRegistry, get_registry
 from .apply import apply_block_events, build_loop_indices
@@ -60,8 +57,10 @@ class BlockReport:
 
     ``profit_usd`` / ``best_profit_usd`` map strategy labels to the sum
     and maximum of positive monetized profits over all candidate loops;
-    ``evaluated_loops`` counts loops actually re-evaluated this block
-    (the incremental mode's work, ``total_loops`` in full mode).
+    ``evaluated_loops`` counts the loops whose value was recomputed this
+    block — re-quoted or re-monetized — by the strategy that recomputed
+    the most: the dirty set in unpruned incremental mode,
+    ``total_loops`` in full mode.
     """
 
     block: int
@@ -145,16 +144,14 @@ class ReplayDriver:
         ``"incremental"`` or ``"full"`` (see module docstring).
     engine:
         Shared :class:`~repro.engine.EvaluationEngine`; a fresh one by
-        default.  Incremental mode uses its ``PoolStateCache`` and
-        topology-cached loop universe.
+        default.  The driver reads its topology-cached loop universe.
     prune:
-        Two-phase re-quoting (incremental + vectorized only): before
-        the exact kernel pass, a vectorized bound pass skips every
-        dirty loop whose profit upper bound is non-positive — the
-        bound proves its exact profit could only contribute zero to
-        the block's sums — and stores a zero-profit placeholder
-        instead.  Reports stay bit-identical to ``prune=False``;
-        ``evaluated_loops`` then counts exact quotes only.
+        Incremental mode only: the workers bound-prune every block at
+        threshold 0.  A dirty loop whose profit bound and published
+        profit are both non-positive keeps its published profit instead
+        of an exact quote, so every report sum is unchanged;
+        ``evaluated_loops`` then counts only the quotes and
+        re-monetizations that ran.
     """
 
     def __init__(
@@ -168,6 +165,11 @@ class ReplayDriver:
     ):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if prune and mode != "incremental":
+            raise ValueError(
+                "prune=True needs incremental mode (full mode is the "
+                "unpruned scalar oracle)"
+            )
         self.mode = mode
         self.prune = prune
         self.market = market.copy()
@@ -182,41 +184,19 @@ class ReplayDriver:
 
         universe = self.engine.loop_universe(self.market.registry, length)
         self._loops = universe.candidates
-        self._pool_loops, self._token_loops = build_loop_indices(self._loops)
-
-        # Columnar mirror of the private market for the batch kernel.
-        # Full mode stays scalar on purpose: it is the parity oracle
-        # the incremental+batch path is asserted bit-identical against.
-        self._evaluator = None
-        if self.mode == "incremental" and self.engine.vectorize:
-            from ..market import BatchEvaluator, MarketArrays
-
-            self._evaluator = BatchEvaluator(
-                self._loops,
-                arrays=MarketArrays.from_registry(self.market.registry),
-            )
-        if prune and self._evaluator is None:
-            raise ValueError(
-                "prune=True requires incremental mode with a vectorizing "
-                "engine (the bound pass runs on the columnar mirror)"
-            )
-
-        # Per-loop state carried across blocks (incremental mode reuses
-        # it; full mode overwrites it wholesale every block).  Priming
-        # at construction time makes block 0 incremental too.
+        self._pool_loops, _ = build_loop_indices(self._loops)
         self._log_rates: list[float] = [loop.log_rate_sum() for loop in self._loops]
-        self._results: dict[str, list[StrategyResult]] = {}
-        cache = self.engine.cache if self.mode == "incremental" else None
-        for label, strategy in self.strategies.items():
-            if self._evaluator is not None:
-                self._results[label] = self._evaluator.evaluate_many(
-                    strategy, self.prices, cache=cache
-                )
-            else:
-                self._results[label] = [
-                    strategy.evaluate_cached(loop, self.prices, cache)
-                    for loop in self._loops
-                ]
+        # incremental mode: the column store ingest writes, and one
+        # inline worker per strategy label over every loop (its
+        # construction is the block-0 priming pass)
+        self._store: MarketArrays | None = None
+        self._workers: dict[str, ShardWorker] = {}
+        if mode == "incremental":
+            self._store = MarketArrays.from_registry(self.market.registry)
+            self._workers = {
+                label: ShardWorker(shard, self._store, self._loops, strategy, self.prices)
+                for shard, (label, strategy) in enumerate(self.strategies.items())
+            }
         self._block_reports: list[BlockReport] = []
 
     def __repr__(self) -> str:
@@ -234,25 +214,31 @@ class ReplayDriver:
         return tuple(self._block_reports)
 
     @property
-    def evaluator_stats(self):
+    def evaluator_stats(self) -> EvaluatorStats | None:
         """Batch-evaluator counters (kernel/scalar routing, bound
-        passes, pruned loops); ``None`` on the scalar path."""
-        return self._evaluator.stats if self._evaluator is not None else None
+        passes, pruned loops) summed over the strategy workers;
+        ``None`` in full mode."""
+        if not self._workers:
+            return None
+        counts = [worker.evaluator_stats.to_dict() for worker in self._workers.values()]
+        return EvaluatorStats(
+            **{name: sum(count[name] for count in counts) for name in counts[0]}
+        )
 
     def publish_metrics(self, registry: MetricRegistry | None = None) -> MetricRegistry:
         """Mirror the driver's lifetime counters into a telemetry
         registry (the process-wide one by default): blocks replayed,
-        loop evaluations, batch-evaluator routing stats, and the
-        engine cache counters.  Safe to call repeatedly — mirrored
-        totals are ``set``, not re-added."""
+        loop evaluations, and the workers' batch-evaluator routing
+        stats.  Safe to call repeatedly — mirrored totals are ``set``,
+        not re-added."""
         registry = registry if registry is not None else get_registry()
         registry.counter("replay_blocks", mode=self.mode).set(len(self._block_reports))
         registry.counter("replay_evaluations", mode=self.mode).set(
             sum(r.evaluated_loops for r in self._block_reports)
         )
-        if self._evaluator is not None:
-            self._evaluator.stats.publish(registry, layer="replay")
-        self.engine.cache.publish(registry, layer="replay")
+        stats = self.evaluator_stats
+        if stats is not None:
+            stats.publish(registry, layer="replay")
         return registry
 
     # ------------------------------------------------------------------
@@ -264,79 +250,59 @@ class ReplayDriver:
 
         In incremental mode only loops whose pools moved are
         re-optimized and only loops whose tokens ticked are
-        re-monetized; everything else reuses its stored result.
+        re-monetized; every other loop keeps its published profit.
         """
+        events = list(events)
         with trace.span("replay.apply", block=block):
-            self.prices, dirty_pools, dirty_tokens, n_events = apply_block_events(
-                self.market.registry,
-                self.prices,
-                events,
-                arrays=(
-                    self._evaluator.arrays if self._evaluator is not None else None
-                ),
+            self.prices, dirty_pools, _, n_events = apply_block_events(
+                self.market.registry, self.prices, events, arrays=self._store
             )
 
         if self.mode == "full":
-            reserve_dirty = range(len(self._loops))
-            reeval = list(reserve_dirty)
-            cache = None
+            moved: Iterable[int] = range(len(self._loops))
+            with trace.span("replay.quote", block=block, loops=len(self._loops)):
+                columns = {
+                    label: [
+                        strategy.evaluate_cached(loop, self.prices, None).monetized_profit
+                        for loop in self._loops
+                    ]
+                    for label, strategy in self.strategies.items()
+                }
+            evaluated = len(self._loops)
         else:
-            touched: set[int] = set()
-            for pool_id in dirty_pools:
-                touched.update(self._pool_loops.get(pool_id, ()))
-            ticked: set[int] = set()
-            for token in dirty_tokens:
-                ticked.update(self._token_loops.get(token, ()))
-            reserve_dirty = sorted(touched)
-            reeval = sorted(touched | ticked)
-            cache = self.engine.cache
-
-        for index in reserve_dirty:
-            self._log_rates[index] = self._loops[index].log_rate_sum()
-        exact_quoted: set[int] = set()
-        with trace.span("replay.quote", block=block, loops=len(reeval)):
-            for label, strategy in self.strategies.items():
-                results = self._results[label]
-                if self._evaluator is not None:
-                    # prune: threshold 0.0 skips the exact quote exactly
-                    # when the bound proves the loop unprofitable — its
-                    # contribution to every block total is zero, so the
-                    # placeholder keeps the report sums bit-identical
-                    threshold = 0.0 if self.prune else None
-                    for index, result in zip(
-                        reeval,
-                        self._evaluator.evaluate_many(
-                            strategy,
-                            self.prices,
-                            indices=reeval,
-                            cache=cache,
-                            threshold=threshold,
-                        ),
-                    ):
-                        if result is None:
-                            results[index] = pruned_zero_result(
-                                strategy, self._loops[index], self.prices
-                            )
-                        else:
-                            results[index] = result
-                            exact_quoted.add(index)
-                else:
-                    for index in reeval:
-                        results[index] = strategy.evaluate_cached(
-                            self._loops[index], self.prices, cache
+            moved = {
+                index
+                for pool_id in dirty_pools
+                for index in self._pool_loops.get(pool_id, ())
+            }
+            threshold = 0.0 if self.prune else None
+            with trace.span("replay.quote", block=block) as sp:
+                updates = [
+                    worker.process_block(
+                        BlockWork.from_events(
+                            block, events, self._store, threshold=threshold
                         )
-                    exact_quoted.update(reeval)
+                    )
+                    for worker in self._workers.values()
+                ]
+                evaluated = max(update.evaluated for update in updates)
+                sp.set(loops=evaluated)
+            columns = {
+                label: worker.profits.tolist() for label, worker in self._workers.items()
+            }
+        for index in moved:
+            self._log_rates[index] = self._loops[index].log_rate_sum()
 
         # Totals are always recomputed over every loop in index order,
-        # so both modes sum identical values in an identical order —
-        # bit-identical reports, not just approximately equal ones.
+        # as Python floats, so both modes sum identical values in an
+        # identical order — bit-identical reports, not just
+        # approximately equal ones (np.sum's pairwise order would not be).
         profit_usd: dict[str, float] = {}
         best_profit_usd: dict[str, float] = {}
-        for label in self.strategies:
+        for label, profits in columns.items():
             total = 0.0
             best = 0.0
-            for result in self._results[label]:
-                monetized = result.monetized_profit
+            for monetized in profits:
                 if monetized > 0.0:
                     total += monetized
                     if monetized > best:
@@ -348,7 +314,7 @@ class ReplayDriver:
             block=block,
             n_events=n_events,
             dirty_pools=tuple(sorted(dirty_pools)),
-            evaluated_loops=len(exact_quoted) if self.prune else len(reeval),
+            evaluated_loops=evaluated,
             total_loops=len(self._loops),
             profitable_loops=sum(1 for r in self._log_rates if r > 0.0),
             mispricing_index=mispricing_index(self.market, self.prices),

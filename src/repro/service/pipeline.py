@@ -24,7 +24,9 @@ asyncio pipeline::
   segment under a single-writer seqlock on the process backend.  A
   price tick that is not finite or is negative stops the run with
   :class:`~repro.core.errors.InvalidPriceError` before its block is
-  written or dispatched: shards take tick prices as given.
+  written or dispatched: shards take tick prices as given.  So does an
+  event whose block is below the current one, with
+  :class:`~repro.core.errors.EventOrderError`.
 * **Shards** map each block's dirty store rows and ticked tokens to
   their slice of the loop universe and re-evaluate only those loops —
   tick-only loops re-monetized from stored rotation quotes, the rest
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import AsyncIterator
 
 from ..amm.events import BurnEvent, MarketEvent, MintEvent, PriceTickEvent, SwapEvent
-from ..core.errors import InvalidPriceError
+from ..core.errors import EventOrderError, InvalidPriceError
 from ..core.types import is_valid_price
 from ..data.snapshot import MarketSnapshot
 from ..engine import EvaluationEngine
@@ -424,7 +426,11 @@ class OpportunityService:
         inflight: dict | None = None,
         pending: dict | None = None,
     ) -> None:
-        """Group the stream into blocks, route, enqueue (or shed)."""
+        """Group the stream into blocks, route, enqueue (or shed).
+
+        Blocks must not decrease within one run: an event for an
+        earlier block raises :class:`EventOrderError` before its block
+        is written or dispatched."""
         current_block: int | None = None
         buffer: list[MarketEvent] = []
 
@@ -507,6 +513,11 @@ class OpportunityService:
             if current_block is None:
                 current_block = event.block
             elif event.block != current_block:
+                if event.block < current_block:
+                    raise EventOrderError(
+                        f"event for block {event.block} arrived after block "
+                        f"{current_block}; streams are block-ordered"
+                    )
                 await flush()
                 buffer = []
                 current_block = event.block

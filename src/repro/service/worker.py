@@ -53,6 +53,10 @@ Workers are plain synchronous objects, so the pipeline can run them
   long-lived child process fed over queues, which is what buys real
   multi-core throughput (each shard burns its own interpreter).
 
+:class:`~repro.replay.ReplayDriver` calls them directly too: its
+incremental mode is one worker per strategy over its own in-process
+store, and its reports read :attr:`ShardWorker.profits`.
+
 Either way the per-block work item is :class:`BlockWork` — (block id,
 epoch, dirty row indices, price ticks by store token index) — so
 nothing resembling market state crosses the process boundary after
@@ -137,12 +141,15 @@ class BlockWork:
     ) -> "BlockWork":
         """The work item for ``events`` already written to ``store``
         (which must still carry its ``pool_index``): their dirty rows
-        (ordered, deduplicated) plus the price ticks."""
+        (ordered, deduplicated) plus the price ticks of tokens the store
+        holds (a token no pool holds dirties no loop)."""
         rows: dict[int, None] = {}
         ticks: list[tuple[int, float]] = []
         for event in events:
             if isinstance(event, PriceTickEvent):
-                ticks.append((store.token_index[event.token], event.price))
+                token = store.token_index.get(event.token)
+                if token is not None:
+                    ticks.append((token, event.price))
             elif isinstance(event, (SwapEvent, MintEvent, BurnEvent)):
                 rows.setdefault(store.pool_index[event.pool_id])
         return cls(
@@ -285,6 +292,14 @@ class ShardWorker:
         """Kernel-vs-scalar routing counters of the shard's
         :class:`~repro.market.BatchEvaluator`."""
         return self._evaluator.stats
+
+    @property
+    def profits(self) -> np.ndarray:
+        """Each loop's last published monetized profit, in loop order
+        (a read-only view of the column the book entries carry)."""
+        view = self._profits.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def handle_nbytes(self) -> int:

@@ -17,7 +17,12 @@ import pytest
 from repro.amm import Pool, PoolRegistry
 from repro.amm.events import BurnEvent, MintEvent, PriceTickEvent, SwapEvent
 from repro.core import PriceMap, Token
-from repro.core.errors import InvalidPriceError, InvalidReserveError, UnknownPoolError
+from repro.core.errors import (
+    EventOrderError,
+    InvalidPriceError,
+    InvalidReserveError,
+    UnknownPoolError,
+)
 from repro.data.snapshot import MarketSnapshot
 from repro.replay import MarketEventLog, generate_event_stream
 from repro.service import (
@@ -428,6 +433,42 @@ class TestFailurePaths:
             assert time.perf_counter() - t0 < 5.0
             # the run's own teardown unlinked the segment
             assert _market_segments() <= before
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    async def test_out_of_order_block_raises_before_it_is_written(
+        self, workload, backend
+    ):
+        market, _ = workload
+        before = _market_segments()
+        service = OpportunityService(market, n_shards=2, backend=backend)
+        first, second = [
+            p for p in market.registry if service.plan.shards_for_pool(p.pool_id)
+        ][:2]
+
+        def swap(pool, block):
+            return SwapEvent(
+                pool_id=pool.pool_id, token_in=pool.token0,
+                token_out=pool.token1, amount_in=1.0, amount_out=0.0,
+                block=block,
+            )
+
+        async def unordered_source():
+            yield swap(first, 5)
+            yield swap(second, 3)
+
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(EventOrderError, match="block 3"):
+                await service.run(unordered_source())
+            assert time.perf_counter() - t0 < 5.0
+            assert _market_segments() <= before
+            # block 3 never reached ingest's pool copy
+            pool = service._market.registry[second.pool_id]
+            assert (pool.reserve0, pool.reserve1) == (
+                second.reserve0, second.reserve1
+            )
         finally:
             service.close()
 

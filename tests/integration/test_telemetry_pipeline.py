@@ -94,7 +94,7 @@ class TestTracedReplay:
         driver = ReplayDriver(market, prune=True)
         driver.replay(log)
         names = {s.name for s in trace.spans()}
-        assert {"replay.apply", "replay.quote"} <= names
+        assert {"replay.apply", "replay.quote", "shard.block"} <= names
         registry = driver.publish_metrics(MetricRegistry())
         snap = registry.snapshot()
         assert snap["counters"]['replay_blocks{mode=incremental}'] == 4
@@ -102,7 +102,6 @@ class TestTracedReplay:
             snap["counters"]['replay_evaluations{mode=incremental}']
             == sum(r.evaluated_loops for r in driver.reports)
         )
-        assert "cache_hits{layer=replay}" in snap["counters"]
         assert "evaluator_pruned_loops{layer=replay}" in snap["counters"]
 
 

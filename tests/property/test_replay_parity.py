@@ -7,8 +7,8 @@ These two properties are the replay subsystem's contract:
   included — JSON numbers carry ``repr`` precision);
 * for any generated market and stream, the incremental driver's
   per-block reports equal the full-recompute driver's *exactly* —
-  not approximately.  Dirty-set tracking changes when work happens,
-  never what is computed.
+  not approximately, with or without bound pruning.  Dirty-set
+  tracking changes when work happens, never what is computed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.amm.events import (
 )
 from repro.data import SyntheticMarketGenerator
 from repro.replay import MarketEventLog, ReplayDriver, generate_event_stream
-from repro.strategies import MaxMaxStrategy, MaxPriceStrategy
+from repro.strategies import MaxMaxStrategy, MaxPriceStrategy, TraditionalStrategy
 from repro.core.types import Token
 
 # ----------------------------------------------------------------------
@@ -97,10 +97,11 @@ def test_jsonl_round_trip_is_lossless(log):
     n_blocks=st.integers(1, 5),
     events_per_block=st.integers(0, 6),
     ticks=st.integers(0, 2),
+    prune=st.booleans(),
 )
 @settings(max_examples=12, deadline=None)
 def test_incremental_replay_matches_full_recompute(
-    market_seed, stream_seed, n_blocks, events_per_block, ticks
+    market_seed, stream_seed, n_blocks, events_per_block, ticks, prune
 ):
     market = SyntheticMarketGenerator(
         n_tokens=8, n_pools=18, seed=market_seed, price_noise=0.02
@@ -112,8 +113,14 @@ def test_incremental_replay_matches_full_recompute(
         seed=stream_seed,
         price_ticks_per_block=ticks,
     )
-    strategies = {"maxmax": MaxMaxStrategy(), "maxprice": MaxPriceStrategy()}
-    incremental = ReplayDriver(market, strategies=strategies, mode="incremental")
+    strategies = {
+        "maxmax": MaxMaxStrategy(),
+        "maxprice": MaxPriceStrategy(),
+        "traditional": TraditionalStrategy(),
+    }
+    incremental = ReplayDriver(
+        market, strategies=strategies, mode="incremental", prune=prune
+    )
     full = ReplayDriver(market, strategies=strategies, mode="full")
     ri = incremental.replay(log)
     rf = full.replay(log)

@@ -258,12 +258,6 @@ class TestEvaluatorExactMode:
         )
         bounds = evaluator.monetized_bounds(MaxMaxStrategy(), prices)
         assert np.isposinf(bounds).all()
-        # so a thresholded evaluation can never prune
-        results = evaluator.evaluate_many(
-            MaxMaxStrategy(), prices, threshold=1e12
-        )
-        assert all(result is not None for result in results)
-        assert evaluator.stats.pruned_loops == 0
 
     def test_float_results_unchanged_by_exact_mode(self):
         registry, loops = many_loops()

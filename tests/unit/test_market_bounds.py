@@ -1,7 +1,7 @@
 """Unit tests for the monetized profit upper bounds
-(:mod:`repro.market.bounds`) and the pruning entry points they power
-(:meth:`BatchEvaluator.evaluate_many` two-phase mode,
-:meth:`BatchEvaluator.evaluate_top_k`, :func:`pruned_zero_result`).
+(:mod:`repro.market.bounds`) and the pruning entry point they power
+here, :meth:`BatchEvaluator.evaluate_top_k` (the service's shard
+workers prune on them too; their tests live with the service).
 
 The soundness contract under test: a bound is *never* below the exact
 kernel profit, and a bound of exactly ``0.0`` proves the exact profit
@@ -24,7 +24,6 @@ from repro.market import (
     BatchEvaluator,
     MarketArrays,
     below_threshold,
-    pruned_zero_result,
 )
 from repro.strategies import (
     ConvexOptimizationStrategy,
@@ -153,50 +152,6 @@ class TestBoundSoundness:
         assert sub[1] == full[1]
 
 
-class TestTwoPhaseEvaluateMany:
-    def test_threshold_none_returns_every_result(self, registry, loops, prices):
-        evaluator = make_evaluator(registry, loops)
-        results = evaluator.evaluate_many(MaxMaxStrategy(), prices)
-        assert all(r is not None for r in results)
-        assert evaluator.stats.pruned_loops == 0
-
-    def test_pruned_rows_are_none_and_provably_below(
-        self, registry, loops, prices
-    ):
-        strategy = MaxMaxStrategy()
-        oracle = make_evaluator(registry, loops).evaluate_many(strategy, prices)
-        threshold = sorted(
-            (r.monetized_profit for r in oracle), reverse=True
-        )[0]  # only the best survives
-        evaluator = make_evaluator(registry, loops)
-        results = evaluator.evaluate_many(
-            strategy, prices, threshold=threshold
-        )
-        assert evaluator.stats.pruned_loops == sum(
-            1 for r in results if r is None
-        )
-        for exact, pruned in zip(oracle, results):
-            if pruned is None:
-                assert (
-                    exact.monetized_profit < threshold
-                    or exact.monetized_profit <= 0.0
-                )
-            else:
-                assert pruned.monetized_profit == exact.monetized_profit
-
-    def test_zero_threshold_keeps_profitable_loops(
-        self, registry, loops, prices
-    ):
-        strategy = MaxMaxStrategy()
-        oracle = make_evaluator(registry, loops).evaluate_many(strategy, prices)
-        evaluator = make_evaluator(registry, loops)
-        results = evaluator.evaluate_many(strategy, prices, threshold=0.0)
-        for exact, got in zip(oracle, results):
-            if exact.monetized_profit > 0.0:
-                assert got is not None
-                assert got.monetized_profit == exact.monetized_profit
-
-
 class TestEvaluateTopK:
     def test_matches_exhaustive_ranking(self, registry, loops, prices):
         strategy = MaxMaxStrategy()
@@ -249,35 +204,3 @@ class TestEvaluateTopK:
         assert len(scored) + pruned == len(loops)
         empty = BatchEvaluator([], arrays=MarketArrays([]))
         assert empty.evaluate_top_k(MaxMaxStrategy(), prices, k=3) == ([], 0)
-
-
-class TestPrunedZeroResult:
-    def test_maxmax_placeholder(self, registry, loops, prices):
-        result = pruned_zero_result(MaxMaxStrategy(), loops[0], prices)
-        assert result.monetized_profit == 0.0
-        assert result.amount_in == 0.0
-        assert result.details["pruned"] is True
-        assert set(result.details["per_rotation"]) == {"X", "Y", "Z"}
-        assert all(v == 0.0 for v in result.details["per_rotation"].values())
-
-    def test_traditional_placeholder_starts_at_the_start_token(
-        self, registry, loops, prices
-    ):
-        result = pruned_zero_result(
-            TraditionalStrategy(start_token=X), loops[0], prices
-        )
-        assert result.monetized_profit == 0.0
-        assert result.start_token == X
-        assert result.details["pruned"] is True
-
-    def test_maxprice_placeholder_uses_max_price_token(
-        self, registry, loops, prices
-    ):
-        result = pruned_zero_result(MaxPriceStrategy(), loops[0], prices)
-        assert result.monetized_profit == 0.0
-        # Z at $20 is the loop's max-price token
-        assert result.start_token == Z
-
-    def test_nonbatchable_strategy_rejected(self, registry, loops, prices):
-        with pytest.raises(ValueError, match="batch kind"):
-            pruned_zero_result(ConvexOptimizationStrategy(), loops[0], prices)

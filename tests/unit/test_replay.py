@@ -285,17 +285,27 @@ class TestReplayDriver:
         # ...but each dirty loop evaluated exactly once for the block
         assert report.evaluated_loops <= report.total_loops
 
-    def test_tick_only_block_re_monetizes_via_cache(self, triangle_market, tokens_xyz):
+    def test_tick_only_block_is_re_monetized(self, triangle_market, tokens_xyz):
         x, _, _ = tokens_xyz
         driver = ReplayDriver(triangle_market)
-        misses_after_prime = driver.engine.cache.misses
+        primed = driver.evaluator_stats
         log = MarketEventLog([PriceTickEvent(token=x, price=2.5, block=0)])
         report = driver.replay(log).reports[0]
-        # every loop holding X re-evaluated, but reserves are unchanged,
-        # so the optimization work is all cache hits — zero new misses
+        # every loop holding X re-valued, but reserves are unchanged, so
+        # each is re-monetized from its stored rotation quotes: no
+        # kernel or scalar quote runs
         assert report.evaluated_loops > 0
-        assert driver.engine.cache.misses == misses_after_prime
-        assert driver.engine.cache.hits > 0
+        stats = driver.evaluator_stats
+        assert stats.kernel_loops == primed.kernel_loops
+        assert stats.scalar_loops == primed.scalar_loops
+
+    def test_tick_for_a_token_no_pool_holds(self, triangle_market):
+        v = Token("V")
+        log = MarketEventLog([PriceTickEvent(token=v, price=3.0, block=0)])
+        inc, _full, ri, _rf = _parity(triangle_market, log)
+        # the tick dirties no loop, but the driver's prices track it
+        assert ri.reports[0].evaluated_loops == 0
+        assert inc.prices[v] == 3.0
 
     def test_tick_parity_with_full(self, triangle_market, tokens_xyz):
         x, _, _ = tokens_xyz
@@ -379,11 +389,3 @@ class TestPrunedReplay:
     def test_prune_requires_the_batch_evaluator(self, triangle_market):
         with pytest.raises(ValueError, match="prune"):
             ReplayDriver(triangle_market, mode="full", prune=True)
-        from repro.engine import EvaluationEngine
-
-        with pytest.raises(ValueError, match="prune"):
-            ReplayDriver(
-                triangle_market,
-                engine=EvaluationEngine(vectorize=False),
-                prune=True,
-            )

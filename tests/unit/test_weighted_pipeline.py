@@ -4,7 +4,7 @@ regression coverage:
 
 * **Replay mirror drift** — Swap/Mint/Burn events at weighted pools
   streamed through :class:`~repro.replay.ReplayDriver` incremental
-  (columnar mirror + batch kernels) must report bit-identically to the
+  (column store + shard workers) must report bit-identically to the
   full-recompute scalar oracle: the mirror must never apply CPMM
   arithmetic to a weighted row, and the weighted kernel must agree
   with the scalar chain optimizer exactly.
@@ -100,29 +100,32 @@ class TestWeightedReplayParity:
         self, mixed_market, mixed_stream
     ):
         driver = ReplayDriver(mixed_market, mode="incremental")
-        evaluator = driver._evaluator
-        assert evaluator is not None
+        (worker,) = driver._workers.values()
+        evaluator = worker._evaluator
         assert evaluator.fallback_positions == []
         assert any(g.weighted for g in evaluator.groups)
-        # priming covered all 8 loops in one kernel pass set
-        assert evaluator.stats.scalar_loops == 0
+        # priming covered all 20 loops in kernel passes
+        primed = driver.evaluator_stats
+        assert primed.scalar_loops == 0
         # small per-block dirty sets would hit the min_batch fallback by
         # design; drop the threshold to show nothing *forces* scalar
         evaluator.min_batch = 1
         driver.replay(mixed_stream)
-        assert evaluator.stats.scalar_loops == 0
-        assert evaluator.stats.kernel_loops > 0
+        assert driver.evaluator_stats.scalar_loops == 0
+        assert driver.evaluator_stats.kernel_loops > primed.kernel_loops
 
     def test_columnar_mirror_stays_fresh_for_weighted_rows(
         self, mixed_market, mixed_stream
     ):
         driver = ReplayDriver(mixed_market, mode="incremental")
         driver.replay(mixed_stream)
-        arrays = driver._evaluator.arrays
+        arrays = driver._store
         for pool in driver.market.registry:
             assert arrays.reserves(pool.pool_id) == (
                 pool.reserve0, pool.reserve1
             ), f"mirror drifted at {pool.pool_id}"
+        # and every worker quotes from that one store
+        assert all(worker.store is arrays for worker in driver._workers.values())
 
 
 class TestWeightedShardWorker:
