@@ -27,6 +27,18 @@ starting point satisfies it.
 
 The duality gap of the barrier method is ``m / t`` with ``m`` the
 total number of inequality terms, which gives the stopping rule.
+
+Two rules keep a solve cheap without moving an iterate by one bit:
+
+* A centering stage ends at the first Newton iteration whose line
+  search leaves the iterate bitwise unchanged, and goes straight to
+  the end-of-stage stall check.  The rule is exact: every later
+  iteration of the stage would start from the same bits, so it would
+  recompute the same gradient, step and search, and the stage would
+  reach the same stall check on the same iterate after ``max_newton``
+  iterations.
+* A line search starts from the ``phi_t`` that the previous search
+  computed at the point it accepted, instead of evaluating it again.
 """
 
 from __future__ import annotations
@@ -70,8 +82,18 @@ class BarrierSolver:
         alpha: float = 0.05,
         beta: float = 0.5,
     ):
-        if mu <= 1.0:
+        if not t0 > 0.0:
+            raise ValueError(f"t0 must be positive, got {t0}")
+        if not mu > 1.0:
             raise ValueError(f"mu must exceed 1, got {mu}")
+        if not tol > 0.0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        if not max_newton >= 1:
+            raise ValueError(f"max_newton must be at least 1, got {max_newton}")
+        if not 0.0 < alpha < 0.5:
+            raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must be in (0, 1), got {beta}")
         self.t0 = t0
         self.mu = mu
         self.tol = tol
@@ -185,6 +207,7 @@ class BarrierSolver:
         return sol[:n]
 
     def _center(self, program: ConvexProgram, v: np.ndarray, t: float, a_eq):
+        phi = None  # phi_t(v), from the line search that reached v
         for _ in range(self.max_newton):
             grad, hess = self._grad_hess(program, v, t)
             step = self._newton_step(hess, grad, a_eq)
@@ -193,12 +216,21 @@ class BarrierSolver:
             # we are centered.
             if decrement_sq / 2.0 <= self.newton_tol:
                 return v
-            v = self._line_search(program, v, step, grad, t)
+            if phi is None:
+                phi = self._phi(program, v, t)
+            moved, phi = self._line_search(program, v, phi, step, grad, t)
+            if moved.tobytes() == v.tobytes():
+                # Stalled: the rest of the stage would repeat this
+                # iteration bit for bit, so its decrement stands.
+                break
+            v = moved
+        else:
+            grad, hess = self._grad_hess(program, v, t)
+            step = self._newton_step(hess, grad, a_eq)
+            decrement_sq = float(grad @ step)
         # Not fully centered; the outer loop's gap bound still holds
         # approximately — warn via exception only if badly off.
-        grad, hess = self._grad_hess(program, v, t)
-        step = self._newton_step(hess, grad, a_eq)
-        if float(grad @ step) / 2.0 > 1e-4:
+        if decrement_sq / 2.0 > 1e-4:
             raise SolverConvergenceError(
                 f"Newton centering stalled at barrier weight t={t}"
             )
@@ -208,21 +240,23 @@ class BarrierSolver:
         self,
         program: ConvexProgram,
         v: np.ndarray,
+        phi0: float,
         step: np.ndarray,
         grad: np.ndarray,
         t: float,
-    ) -> np.ndarray:
-        phi0 = self._phi(program, v, t)
+    ) -> tuple[np.ndarray, float]:
+        """Backtrack along ``step`` from ``v``, where phi_t is ``phi0``;
+        return the point reached and its phi_t."""
         slope = float(grad @ step)
         s = 1.0
         for _ in range(100):
             candidate = v + s * step
-            phi = self._phi(program, v + s * step, t)
+            phi = self._phi(program, candidate, t)
             if np.isfinite(phi) and phi >= phi0 + self.alpha * s * slope:
-                return candidate
+                return candidate, phi
             s *= self.beta
         # Step direction failed to improve — numerical floor reached.
-        return v
+        return v, phi0
 
 
 def solve_barrier(

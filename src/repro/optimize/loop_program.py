@@ -43,7 +43,10 @@ from .program import (
     WeightedHopConstraint,
 )
 
-__all__ = ["LoopProgram", "build_loop_program"]
+__all__ = ["LINKINGS", "LoopProgram", "build_loop_program"]
+
+#: ``linking`` values of :func:`build_loop_program`: eq. (8), eq. (7)
+LINKINGS = ("inequality", "equality")
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ def build_loop_program(
         ``out >= in``), reducing the search space to the fixed-start
         problem — kept for the ablation benchmark.
     """
-    if linking not in ("inequality", "equality"):
+    if linking not in LINKINGS:
         raise ValueError(f"linking must be 'inequality' or 'equality', got {linking!r}")
 
     n = len(loop)

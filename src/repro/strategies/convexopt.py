@@ -32,7 +32,7 @@ from ..core.errors import InfeasibleProgramError, OptimizationError
 from ..core.loop import ArbitrageLoop
 from ..core.types import PriceMap
 from ..optimize.barrier import BarrierSolver
-from ..optimize.loop_program import LoopProgram, build_loop_program
+from ..optimize.loop_program import LINKINGS, LoopProgram, build_loop_program
 from ..optimize.slsqp import solve_slsqp
 from .base import Strategy, StrategyResult
 from .maxmax import MaxMaxStrategy
@@ -74,6 +74,8 @@ class ConvexOptimizationStrategy(Strategy):
     ):
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+        if linking not in LINKINGS:
+            raise ValueError(f"linking must be one of {LINKINGS}, got {linking!r}")
         self.backend = backend
         self.linking = linking
         self.profit_tol = profit_tol

@@ -382,8 +382,22 @@ MALFORMED_EVENTS = [
         ValueError, "finite", id="nan-swap",
     ),
     pytest.param(
+        lambda pool: SwapEvent(
+            pool_id=pool.pool_id, token_in=pool.token0,
+            token_out=pool.token1, amount_in=-1.0, amount_out=0.0, block=0,
+        ),
+        ValueError, "input amount", id="negative-swap",
+    ),
+    pytest.param(
         lambda pool: BurnEvent(pool_id=pool.pool_id, fraction=1.5, block=0),
         InvalidReserveError, "fraction", id="burn-fraction",
+    ),
+    pytest.param(
+        lambda pool: MintEvent(
+            pool_id=pool.pool_id, amount0=-pool.reserve0 * 0.01,
+            amount1=-pool.reserve1 * 0.01, block=0,
+        ),
+        InvalidReserveError, "positive", id="negative-mint",
     ),
     pytest.param(
         lambda pool: MintEvent(

@@ -118,9 +118,23 @@ class TestBarrier:
         with pytest.raises(InfeasibleProgramError, match="equality"):
             solve_barrier(program, np.array([0.3, 0.1]))
 
-    def test_mu_validation(self):
-        with pytest.raises(ValueError, match="mu"):
-            BarrierSolver(mu=1.0)
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("mu", 1.0),
+            ("t0", 0.0),
+            ("t0", -1.0),
+            ("tol", 0.0),
+            ("max_newton", 0),
+            ("alpha", 0.0),
+            ("alpha", 0.5),
+            ("beta", 0.0),
+            ("beta", 1.0),
+        ],
+    )
+    def test_parameter_validation(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            BarrierSolver(**{name: value})
 
     def test_tight_tolerance_more_outer_iterations(self):
         loose = BarrierSolver(tol=1e-3).solve(box_program(), np.array([1.0, 1.0]))

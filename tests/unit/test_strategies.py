@@ -174,6 +174,10 @@ class TestConvexOptimization:
         with pytest.raises(ValueError, match="backend"):
             ConvexOptimizationStrategy(backend="cvxpy")
 
+    def test_invalid_linking(self):
+        with pytest.raises(ValueError, match="linking"):
+            ConvexOptimizationStrategy(linking="bogus")
+
     def test_details_record_backend(self, s5_loop, s5_prices):
         result = ConvexOptimizationStrategy(backend="slsqp").evaluate(
             s5_loop, s5_prices
