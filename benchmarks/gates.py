@@ -220,6 +220,7 @@ def service_run(market, log, **options) -> dict:
         "events_per_s": report.events_per_s,
         "evaluations": report.evaluations,
         "loops_pruned": report.loops_pruned,
+        "loops_restored": report.loops_restored,
         "total_loops": service.total_loops,
         "e2e_p50_ms": e2e.get("p50_ms", 0.0),
         "e2e_p99_ms": e2e.get("p99_ms", 0.0),
@@ -398,6 +399,7 @@ def _compare_pruning(gates: Gates, label, market, log, repeats, top_k, case):
         "loops_dirtied": exact["evaluations"],
         "exact_quotes": pruned["evaluations"],
         "loops_pruned": pruned["loops_pruned"],
+        "loops_restored": pruned["loops_restored"],
         "quote_reduction": exact["evaluations"] / max(1, pruned["evaluations"]),
         "wall_s_pruned": pruned["wall_s"],
         "wall_s_unpruned": exact["wall_s"],

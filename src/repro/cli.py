@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true",
                    help="disable bound-based re-quote pruning (by default "
                    "shards skip exact quotes for dirty loops provably below "
-                   "the book's --top'th profit; the displayed book is "
-                   "identical either way)")
+                   "the --top'th profit of their own loops; the displayed "
+                   "book is identical either way)")
     p.add_argument("--json", help="write the full service report to a JSON file")
     p.add_argument("--csv", help="write the final book (top-K) to a CSV file")
     p.add_argument("--trace", metavar="FILE",
@@ -285,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("block", "drop"), default="block")
     p.add_argument("--queue-size", type=int, default=64, dest="queue_size")
     p.add_argument("--prune-top-k", type=int, default=None, dest="prune_top_k",
-                   help="enable bound-based re-quote pruning with this "
-                   "book rank as the feedback threshold (default: off)")
+                   help="enable bound-based re-quote pruning: each shard "
+                   "prunes against the K-th profit of its own loops "
+                   "(default: off)")
     p.add_argument("--rates", default="0",
                    help="comma-separated offered rates (events/sec, 0 = "
                    "unthrottled); one run and one report row per rate")
@@ -882,7 +883,8 @@ def _cmd_serve(args) -> None:
         f"{result.duration_s:.3f}s -> {result.events_per_s:,.0f} ev/s; "
         f"{result.evaluations} loop evaluations, "
         f"{result.loops_remonetized} of them re-monetised "
-        f"({result.loops_pruned} pruned by bounds); "
+        f"({result.loops_pruned} pruned by bounds), "
+        f"{result.loops_restored} kept entries restored; "
         f"end-to-end p50 {e2e.get('p50_ms', 0.0):.2f}ms / "
         f"p99 {e2e.get('p99_ms', 0.0):.2f}ms"
     )

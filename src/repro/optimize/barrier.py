@@ -162,6 +162,10 @@ class BarrierSolver:
         return a, b
 
     def _phi(self, program: ConvexProgram, v: np.ndarray, t: float) -> float:
+        # rejected before any constraint is evaluated: below -x/gamma a
+        # weighted hop's value is complex, and comparing it would raise
+        if program.nonneg and np.any(v <= 0.0):
+            return -np.inf
         total = t * program.objective_value(v)
         for c in program.inequalities:
             val = c.value(v)
@@ -169,8 +173,6 @@ class BarrierSolver:
                 return -np.inf
             total += np.log(val)
         if program.nonneg:
-            if np.any(v <= 0.0):
-                return -np.inf
             total += float(np.sum(np.log(v)))
         return total
 

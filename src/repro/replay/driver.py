@@ -146,12 +146,13 @@ class ReplayDriver:
         Shared :class:`~repro.engine.EvaluationEngine`; a fresh one by
         default.  The driver reads its topology-cached loop universe.
     prune:
-        Incremental mode only: the workers bound-prune every block at
-        threshold 0.  A dirty loop whose profit bound and published
-        profit are both non-positive keeps its published profit instead
-        of an exact quote, so every report sum is unchanged;
-        ``evaluated_loops`` then counts only the quotes and
-        re-monetizations that ran.
+        Incremental mode only: each worker prunes with ``top_k`` set to
+        the number of loops, so its threshold is 0 on every block that
+        dirties a loop (fewer loops than K are exact then).  A dirty
+        loop whose profit bound and published profit are both
+        non-positive keeps its published profit instead of an exact
+        quote, so every report sum is unchanged; ``evaluated_loops``
+        then counts only the quotes and re-monetizations that ran.
     """
 
     def __init__(
@@ -193,8 +194,11 @@ class ReplayDriver:
         self._workers: dict[str, ShardWorker] = {}
         if mode == "incremental":
             self._store = MarketArrays.from_registry(self.market.registry)
+            top_k = max(1, len(self._loops)) if prune else None
             self._workers = {
-                label: ShardWorker(shard, self._store, self._loops, strategy, self.prices)
+                label: ShardWorker(
+                    shard, self._store, self._loops, strategy, self.prices, top_k=top_k
+                )
                 for shard, (label, strategy) in enumerate(self.strategies.items())
             }
         self._block_reports: list[BlockReport] = []
@@ -275,15 +279,10 @@ class ReplayDriver:
                 for pool_id in dirty_pools
                 for index in self._pool_loops.get(pool_id, ())
             }
-            threshold = 0.0 if self.prune else None
             with trace.span("replay.quote", block=block) as sp:
+                work = BlockWork.from_events(block, events, self._store)
                 updates = [
-                    worker.process_block(
-                        BlockWork.from_events(
-                            block, events, self._store, threshold=threshold
-                        )
-                    )
-                    for worker in self._workers.values()
+                    worker.process_block(work) for worker in self._workers.values()
                 ]
                 evaluated = max(update.evaluated for update in updates)
                 sp.set(loops=evaluated)

@@ -278,42 +278,6 @@ class OpportunityBook:
             heapq.heappush(self._heap, item)
         return out
 
-    def kth_profit(self, k: int, exclude: "set[str] | frozenset[str] | None" = None) -> float:
-        """Profit of the K-th most profitable entry, or 0.0 when fewer
-        than ``k`` profitable entries qualify.
-
-        ``exclude`` skips the named loop ids — the pruning pipeline
-        passes every in-flight dirty loop, so the threshold it feeds
-        back to shards rests only on entries whose book value is
-        provably final for the blocks being dispatched.  Heap-backed
-        with the same lazy-deletion discipline as :meth:`top`.
-        """
-        if k <= 0:
-            return 0.0
-        excluded = exclude if exclude is not None else frozenset()
-        collected: list[tuple[tuple, str]] = []
-        seen: set[str] = set()
-        found = 0
-        value = 0.0
-        while self._heap and found < k:
-            key, loop_id = heapq.heappop(self._heap)
-            entry = self._entries.get(loop_id)
-            if entry is None or entry.sort_key() != key:
-                continue  # stale: superseded or removed
-            if loop_id in seen:
-                continue  # duplicate live tuple (profit cycled back)
-            seen.add(loop_id)
-            collected.append((key, loop_id))
-            if not entry.is_profitable:
-                break  # heap order: everything after is unprofitable too
-            if loop_id in excluded:
-                continue
-            found += 1
-            value = entry.profit_usd
-        for item in collected:
-            heapq.heappush(self._heap, item)
-        return value if found == k else 0.0
-
     def snapshot(self) -> BookSnapshot:
         """All profitable entries in book order, stamped with ``seq``."""
         entries = sorted(

@@ -139,8 +139,8 @@ def run_load(
 
     ``rate`` throttles the offered stream (events/sec); 0 means "as
     fast as the pipeline accepts", which measures sustained capacity.
-    ``prune_top_k`` enables bound-based re-quote pruning with the
-    book's K-th profit as feedback (see :class:`OpportunityService`).
+    ``prune_top_k`` enables bound-based re-quote pruning against each
+    shard's own K-th profit (see :class:`OpportunityService`).
     """
     service = OpportunityService(
         market,

@@ -30,9 +30,10 @@ asyncio pipeline::
 * **Shards** map each block's dirty store rows and ticked tokens to
   their slice of the loop universe and re-evaluate only those loops —
   tick-only loops re-monetized from stored rotation quotes, the rest
-  bound-pruned and re-quoted (see :mod:`repro.service.worker`) —
-  either inline on the event loop or in long-lived child processes
-  (``backend="process"``) for multi-core throughput.
+  re-quoted, bound-pruned against the shard's own top K when pruning
+  is on (see :mod:`repro.service.worker`) — either inline on the event
+  loop or in long-lived child processes (``backend="process"``) for
+  multi-core throughput.
 * **Publish** applies each shard's updates to the
   :class:`~repro.service.book.OpportunityBook` as a sequenced delta
   and records per-stage latencies into :class:`ServiceMetrics`.
@@ -58,7 +59,7 @@ from ..core.types import is_valid_price
 from ..data.snapshot import MarketSnapshot
 from ..engine import EvaluationEngine
 from ..market import MarketArrays, SharedMarketArrays
-from ..replay.apply import apply_block_events, build_loop_indices
+from ..replay.apply import apply_block_events
 from ..strategies.base import Strategy
 from ..strategies.maxmax import MaxMaxStrategy
 from ..telemetry import trace
@@ -137,6 +138,9 @@ class ServiceReport:
     #: How many of ``evaluations`` were tick-only loops re-monetized
     #: from their stored rotation quotes (no bound, no solve).
     loops_remonetized: int = 0
+    #: Kept entries re-valued outside their block's dirty set because
+    #: their shard's threshold fell (not part of ``evaluations``).
+    loops_restored: int = 0
     #: Memory accounting: the column store (held once), per-shard
     #: private column and handle bytes, and RSS high-water marks (see
     #: ``OpportunityService._memory_report``).
@@ -161,6 +165,7 @@ class ServiceReport:
             "evaluations": self.evaluations,
             "loops_pruned": self.loops_pruned,
             "loops_remonetized": self.loops_remonetized,
+            "loops_restored": self.loops_restored,
             "n_shards": self.n_shards,
             "backend": self.backend,
             "loops_per_shard": list(self.loops_per_shard),
@@ -204,17 +209,20 @@ class OpportunityService:
     metrics:
         A :class:`ServiceMetrics` registry; fresh one by default.
     prune_top_k:
-        When set, enable bound-based re-quote pruning: each dispatched
-        block carries the book's K-th profit (computed excluding every
-        loop with results still in flight) as a threshold, and shards
-        skip the exact quote for dirty loops whose profit upper bound
-        *and* currently published profit both sit below it (and skip
-        republishing a re-monetized loop whose new and published
-        values both do).  The quiesced top-``prune_top_k`` book is
-        identical to the unpruned run; entries below rank K may retain
-        stale (provably sub-threshold) values.  ``None`` (default)
-        disables pruning — the full-book parity mode, in which every
-        dirty loop is published.
+        When set, enable bound-based re-quote pruning: every shard
+        worker takes it as its ``top_k`` and prunes against the K-th
+        exact profit of its own loops, skipping the exact quote for
+        dirty loops whose profit upper bound *and* currently published
+        profit both sit below it (and republishing a re-monetized loop
+        only when its new or published value reaches it), then
+        restoring any kept entry its falling threshold no longer
+        covers.  The top-``prune_top_k`` book is then identical to the
+        unpruned run after every block each shard has processed;
+        entries below rank K may retain stale (provably sub-threshold)
+        values.  Each shard ranks only its own slice, so more shards
+        prune less.  ``None`` (default) disables pruning — the
+        full-book parity mode, in which every dirty loop is
+        published.
     shared:
         Not a setting: whether the store is a shared-memory segment
         follows from ``backend``.  ``None`` (default) accepts that; an
@@ -259,7 +267,6 @@ class OpportunityService:
         if prune_top_k is not None and prune_top_k < 1:
             raise ValueError(f"prune_top_k must be >= 1, got {prune_top_k}")
         self.backend = backend
-        self.prune_top_k = prune_top_k
         self.ingest_policy = ingest_policy
         self.queue_size = queue_size
         self.strategy = strategy if strategy is not None else MaxMaxStrategy()
@@ -292,6 +299,7 @@ class OpportunityService:
                 [universe.candidates[i] for i in self.plan.shard_loops[shard]],
                 self.strategy,
                 market.prices,
+                top_k=prune_top_k,
             )
             for shard in range(n_shards)
         ]
@@ -303,37 +311,6 @@ class OpportunityService:
         # (--metrics-port) sees this run's numbers before they are
         # merged into the cumulative registry at quiescence
         self._window: ServiceMetrics | None = None
-        # global inverted indices (canonical loop ids, not positions):
-        # the ingest stage uses them to name every loop a block dirties,
-        # so the threshold it feeds back can exclude in-flight loops
-        self._pool_loop_ids: dict[str, tuple[str, ...]] = {}
-        self._token_loop_ids: dict = {}
-        if prune_top_k is not None:
-            pool_loops, token_loops = build_loop_indices(universe.candidates)
-            ids = [loop.canonical_id for loop in universe.candidates]
-            self._pool_loop_ids = {
-                pool_id: tuple(ids[i] for i in positions)
-                for pool_id, positions in pool_loops.items()
-            }
-            self._token_loop_ids = {
-                token: tuple(ids[i] for i in positions)
-                for token, positions in token_loops.items()
-            }
-
-    def _dirty_loop_ids(self, events) -> set[str]:
-        """Canonical ids of every loop the events dirty (pool events
-        dirty their pool's loops, price ticks their token's loops —
-        mirroring :func:`repro.replay.apply.apply_event`)."""
-        ids: set[str] = set()
-        for event in events:
-            pool_id = getattr(event, "pool_id", None)
-            if pool_id is not None:
-                ids.update(self._pool_loop_ids.get(pool_id, ()))
-                continue
-            token = getattr(event, "token", None)
-            if token is not None:
-                ids.update(self._token_loop_ids.get(token, ()))
-        return ids
 
     def _write_block(self, events, block: int) -> int:
         """Write one (non-shed) block's routed pool events to the store;
@@ -423,8 +400,6 @@ class OpportunityService:
         source: AsyncIterator[MarketEvent],
         shard_queues: list[asyncio.Queue],
         metrics: ServiceMetrics,
-        inflight: dict | None = None,
-        pending: dict | None = None,
     ) -> None:
         """Group the stream into blocks, route, enqueue (or shed).
 
@@ -475,21 +450,6 @@ class OpportunityService:
                     len(buffer),
                 )
                 return
-            threshold = None
-            if inflight is not None and pending is not None:
-                # prune threshold: the book's K-th profit over entries
-                # whose value is final — every loop this block (or any
-                # block still in the pipeline) dirties is excluded, so
-                # a falling entry can never prop up the threshold
-                dirty_ids = self._dirty_loop_ids(buffer)
-                threshold = self.book.kth_profit(
-                    self.prune_top_k, exclude=dirty_ids | set(inflight)
-                )
-                for loop_id in dirty_ids:
-                    inflight[loop_id] = inflight.get(loop_id, 0) + 1
-                entry = pending.setdefault(current_block, [0, []])
-                entry[0] += len(routed)
-                entry[1].append(dirty_ids)
             epoch = self._write_block(buffer, current_block)
             for shard, events in routed.items():
                 queue = shard_queues[shard]
@@ -500,7 +460,6 @@ class OpportunityService:
                     self._store,
                     epoch=epoch,
                     t_ingest=t_ingest,
-                    threshold=threshold,
                 )
                 t0 = time.perf_counter()
                 await queue.put(work)
@@ -582,8 +541,6 @@ class OpportunityService:
         self,
         out_queue: asyncio.Queue,
         metrics: ServiceMetrics,
-        inflight: dict | None = None,
-        pending: dict | None = None,
     ) -> None:
         """Apply shard updates to the book and record latencies."""
         remaining = self.n_shards
@@ -612,25 +569,11 @@ class OpportunityService:
                 entries=len(update.entries),
             ):
                 self.book.apply(update.block, update.shard, update.entries)
-            if pending is not None and inflight is not None:
-                entry = pending.get(update.block)
-                if entry is not None:
-                    entry[0] -= 1
-                    if entry[0] == 0:
-                        # every shard has published this block: its dirty
-                        # loops' book values are final again
-                        for dirty_ids in entry[1]:
-                            for loop_id in dirty_ids:
-                                count = inflight.get(loop_id, 0) - 1
-                                if count > 0:
-                                    inflight[loop_id] = count
-                                else:
-                                    inflight.pop(loop_id, None)
-                        del pending[update.block]
             metrics.inc("updates_published")
             metrics.inc("evaluations", update.evaluated)
             metrics.inc("loops_pruned", update.pruned)
             metrics.inc("loops_remonetized", update.remonetized)
+            metrics.inc("loops_restored", update.restored)
             # seqlock retry accounting (zero in-process; zero-valued
             # incs still materialize the counters for every report)
             metrics.inc("shm_epoch_waits", update.shm_epoch_waits)
@@ -720,11 +663,6 @@ class OpportunityService:
         # AND latency quantiles are per-run, never mixed across runs
         window = ServiceMetrics()
         self._window = window
-        # pruning bookkeeping shared by ingest (register + exclude) and
-        # publish (release): refcounts of loops with results in flight,
-        # and per-block outstanding shard-update counts
-        inflight: dict | None = {} if self.prune_top_k is not None else None
-        pending: dict | None = {} if self.prune_top_k is not None else None
         # a previous run closed the delta stream at quiescence; anyone
         # who subscribed since must see this run's deltas, not a
         # premature end-of-stream
@@ -756,28 +694,26 @@ class OpportunityService:
                 pool.start()
                 try:
                     await self._gather(
-                        self._ingest(
-                            source, shard_queues, window, inflight, pending
-                        ),
+                        self._ingest(source, shard_queues, window),
                         *(
                             self._process_feeder(shard, shard_queues[shard], pool)
                             for shard in range(self.n_shards)
                         ),
                         self._process_collector(pool, out_queue),
-                        self._publish(out_queue, window, inflight, pending),
+                        self._publish(out_queue, window),
                     )
                 finally:
                     pool.close()
             else:
                 await self._gather(
-                    self._ingest(source, shard_queues, window, inflight, pending),
+                    self._ingest(source, shard_queues, window),
                     *(
                         self._inline_shard(
                             self.workers[shard], shard_queues[shard], out_queue
                         )
                         for shard in range(self.n_shards)
                     ),
-                    self._publish(out_queue, window, inflight, pending),
+                    self._publish(out_queue, window),
                 )
         finally:
             sampler.cancel()
@@ -801,6 +737,7 @@ class OpportunityService:
             evaluations=counters.get("evaluations", 0),
             loops_pruned=counters.get("loops_pruned", 0),
             loops_remonetized=counters.get("loops_remonetized", 0),
+            loops_restored=counters.get("loops_restored", 0),
             n_shards=self.n_shards,
             backend=self.backend,
             loops_per_shard=self.plan.loops_per_shard(),

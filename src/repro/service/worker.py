@@ -23,9 +23,12 @@ store's tokens that ticks update in place.  Per block it
    :func:`~repro.market.monetize_rotations`, no bound and no solve
    (MaxPrice only while the quoted start is still the max-price
    token),
-4. bound-prunes the other dirty loops against the book's threshold, and
+4. with pruning on (``top_k``), bound-prunes the other dirty loops
+   against its own threshold (below),
 5. quotes the rest through :class:`~repro.market.BatchEvaluator`,
-   storing their rotation quotes for later ticks.
+   storing their rotation quotes for later ticks, and
+6. with pruning on, restores every kept entry the new threshold no
+   longer covers.
 
 A loop's stored quotes are valid from the quote that produced them
 until the next block whose dirty rows touch one of its pools; a
@@ -33,6 +36,24 @@ bound-pruned pool-dirty loop has none until it is quoted again.  On the
 process backend a quote may read reserves newer than its block; the
 block that moved those rows reaches the shard later and drops them.
 Strategies without a batch kind (convex) re-solve every dirty loop.
+
+Pruning is the worker's alone.  Its threshold is the K-th largest
+published profit among its own loops whose value is exact (0.0 while
+fewer than K are positive); a loop's value is exact unless the worker
+*kept* its entry: a dirty loop whose fresh bound and published profit
+are both below the threshold keeps its published profit instead of an
+exact quote, and a re-monetized loop whose new and published values
+both are keeps its entry too.  Step 4 ranks the loops the block leaves
+untouched, so a falling dirty loop cannot prop the threshold up; step
+6 re-ranks after the quotes and re-values every kept loop whose bound
+or published profit reaches the new threshold.  Restoring only adds
+exact values to the ranking, so the threshold cannot fall again and
+one pass suffices.  After every block each
+kept entry's bound and published profit sit below the K-th exact
+profit of its shard, so it is in neither the displayed nor the true
+top K of the shard — nor of the book, whose K-th profit is at least
+any one shard's.  Each shard ranks only its own slice, so more shards
+prune less.
 
 Quotes route through the batch kernels, except dirty slices below the
 evaluator's ``min_batch`` and scalar-only strategies (convex), which
@@ -113,11 +134,6 @@ class BlockWork:
     its own price vector, aligned with the store's tokens).  Ingest has
     already validated every tick price (finite, ``>= 0``).  A work item
     pickles to a few hundred bytes regardless of market size.
-
-    ``threshold`` is the pruning feedback from the book: the K-th
-    profit among entries whose value is final for this block (``None``
-    disables pruning — every dirty loop gets an exact value, and every
-    one is published).
     """
 
     block: int
@@ -126,7 +142,6 @@ class BlockWork:
     ticks: tuple[tuple[int, float], ...]
     t_ingest: float  # perf_counter at ingest (monotonic across processes on Linux)
     t_dispatch: float
-    threshold: float | None = None
 
     @classmethod
     def from_events(
@@ -137,7 +152,6 @@ class BlockWork:
         *,
         epoch: int = 0,
         t_ingest: float = 0.0,
-        threshold: float | None = None,
     ) -> "BlockWork":
         """The work item for ``events`` already written to ``store``
         (which must still carry its ``pool_index``): their dirty rows
@@ -159,7 +173,6 @@ class BlockWork:
             ticks=tuple(ticks),
             t_ingest=t_ingest,
             t_dispatch=time.perf_counter(),
-            threshold=threshold,
         )
 
 
@@ -171,9 +184,11 @@ class ShardUpdate:
     exact quotes plus ``remonetized``, the tick-only loops valued from
     their stored rotation quotes without a solve.  ``pruned`` counts
     dirty loops answered by the bound pass alone (``evaluated +
-    pruned`` = the block's dirty-set size on this shard).  The
-    ``shm_*`` counters are the shared-memory seqlock's retry accounting
-    for this block (zero on an in-process store).
+    pruned`` = the block's dirty-set size on this shard).  ``restored``
+    counts kept entries outside the dirty set that the block's new
+    threshold no longer covered, re-valued exactly and republished.
+    The ``shm_*`` counters are the shared-memory seqlock's retry
+    accounting for this block (zero on an in-process store).
     """
 
     shard: int
@@ -185,6 +200,7 @@ class ShardUpdate:
     t_dispatch: float
     pruned: int = 0
     remonetized: int = 0
+    restored: int = 0
     shm_epoch_waits: int = 0
     shm_torn_retries: int = 0
 
@@ -203,6 +219,11 @@ class ShardWorker:
     The worker keeps, per loop, what the book shows — last published
     profit, amount in, start token — and, for strategies with a batch
     kind, the rotation quotes behind it; never a pool object.
+
+    ``top_k`` turns pruning on: the worker keeps the entries of dirty
+    loops provably below the K-th exact profit of its own loops (see
+    the module docstring).  ``None`` (default) values every dirty loop
+    exactly and publishes every one.
     """
 
     def __init__(
@@ -212,14 +233,18 @@ class ShardWorker:
         loops: Sequence,
         strategy: Strategy,
         prices: PriceMap,
+        top_k: int | None = None,
     ):
         if store.pool_index is None:
             raise ValueError(
                 "shard construction needs a store with pool_index "
                 "(build workers in the parent, before pickling)"
             )
+        if top_k is not None and top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.shard_id = shard_id
         self.strategy = strategy
+        self.top_k = top_k
         self.store = store
         self._view = store if isinstance(store, SharedMarketView) else None
         pools = {pool.pool_id: pool for loop in loops for pool in loop.pools}
@@ -254,6 +279,12 @@ class ShardWorker:
         self._profits = np.empty(n, dtype=np.float64)
         self._amounts: list[float | None] = [None] * n
         self._starts: list[str | None] = [None] * n
+        # pruning state: which loops' published profit is not their
+        # exact value (a block's dirty loops until valued, kept entries
+        # after), each kept one with the bound (or re-monetized value)
+        # that proved it below the threshold
+        self._stale = np.zeros(n, dtype=bool)
+        self._bounds = np.zeros(n, dtype=np.float64)
         if self._kind is None:
             self._price_map: PriceMap | None = None
             self._quote(list(range(n)))
@@ -474,8 +505,9 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def process_block(self, work: BlockWork) -> ShardUpdate:
-        """Advance to one routed block and re-evaluate only its dirty
-        loops."""
+        """Advance to one routed block, re-evaluate only its dirty
+        loops, and (pruning on) restore the kept entries the new
+        threshold no longer covers."""
         t0 = time.perf_counter()
         if trace.is_enabled():
             # retroactive span for the time this block spent queued
@@ -514,57 +546,34 @@ class ShardWorker:
                 if work.ticks and self._kind is None:
                     self._price_map = None
                 dirty = np.array(sorted(touched), dtype=np.intp)
-                if self._kind is None:
-                    remonetize = np.zeros(len(dirty), dtype=bool)
-                else:
+                if self._kind is not None:
                     # a pool move invalidates the stored quotes; every
                     # dirty loop still holding valid ones is tick-only
                     self._valid[list(moved)] = False
-                    remonetize = self._valid[dirty]
-                    if self._kind == "maxprice" and remonetize.any():
-                        held = np.flatnonzero(remonetize)
-                        remonetize[held[self._start_moved(dirty[held])]] = False
-                ready, stale = dirty[remonetize], dirty[~remonetize]
-            if work.threshold is None:
-                requote = stale
-            else:
-                requote = self._select_requotes(stale, work.threshold)
+                unready, ready = self._split(dirty)
+            threshold = None
+            if self.top_k is not None and len(dirty):
+                # a dirty loop's published profit is stale until it is
+                # valued again, so it cannot prop the threshold up
+                self._stale[dirty] = True
+                threshold = self._threshold()
+            requote = unready if threshold is None else self._select_requotes(unready, threshold)
             with trace.span(
                 "shard.quote", loops=len(requote), remonetized=len(ready)
             ):
-                if self._kind is None:
-                    self._quote(requote.tolist())
-                    published = requote
-                else:
-                    if len(requote):
-                        self._store_quotes(requote)
-                    positions = np.concatenate([requote, ready])
-                    values, amounts, starts = self._monetize(positions)
-                    keep = np.ones(len(positions), dtype=bool)
-                    threshold = work.threshold
-                    if threshold is not None:
-                        # a re-monetized loop keeps its book entry on
-                        # the predicate a re-quote is held to: both its
-                        # new value and its published value below the
-                        # threshold
-                        fresh = slice(len(requote), None)
-                        keep[fresh] = ~(
-                            below_threshold(values[fresh], threshold)
-                            & below_threshold(self._profits[ready], threshold)
-                        )
-                    sel = np.flatnonzero(keep)
-                    sel = sel[np.argsort(positions[sel])]
-                    published = positions[sel]
-                    self._publish(published, values[sel], amounts[sel], starts[sel])
+                published = self._value(requote, ready, threshold)
+                restored = self._restore() if threshold is not None else published[:0]
+                if len(restored):
+                    published = np.union1d(published, restored)
                 entries = tuple(
                     self._entry(index, work.block) for index in published.tolist()
                 )
-            pruned = len(stale) - len(requote)
+            pruned = len(unready) - len(requote)
             self._evaluator.stats.pruned_loops += pruned
             waits1, torn1 = self._seqlock_counters()
             sp.set(
                 dirty=len(dirty), quoted=len(requote), remonetized=len(ready),
-                pruned=pruned,
+                pruned=pruned, restored=len(restored),
             )
         return ShardUpdate(
             shard=self.shard_id,
@@ -576,34 +585,114 @@ class ShardWorker:
             t_dispatch=work.t_dispatch,
             pruned=pruned,
             remonetized=len(ready),
+            restored=len(restored),
             shm_epoch_waits=waits1 - waits0,
             shm_torn_retries=torn1 - torn0,
         )
 
-    def _select_requotes(self, stale: np.ndarray, threshold: float) -> np.ndarray:
+    def _split(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(to quote, to re-monetize)``: the loops at ``positions``
+        that hold no valid stored quotes, and those that do (MaxPrice:
+        only while their quoted start is still the max-price token).
+        Strategies without a batch kind quote everything."""
+        if self._kind is None:
+            return positions, positions[:0]
+        remonetize = self._valid[positions]
+        if self._kind == "maxprice" and remonetize.any():
+            held = np.flatnonzero(remonetize)
+            remonetize[held[self._start_moved(positions[held])]] = False
+        return positions[~remonetize], positions[remonetize]
+
+    def _value(
+        self, requote: np.ndarray, ready: np.ndarray, threshold: float | None
+    ) -> np.ndarray:
+        """Quote the loops at ``requote``, re-monetize those at
+        ``ready`` from their stored quotes, publish, and return the
+        published positions in loop order.
+
+        With a threshold, a re-monetized loop keeps its stale entry on
+        the predicate a re-quote is held to: its new value and its
+        published value both below the threshold.
+        """
+        if self._kind is None:
+            self._quote(requote.tolist())
+            self._stale[requote] = False
+            return requote
+        if len(requote):
+            self._store_quotes(requote)
+        positions = np.concatenate([requote, ready])
+        values, amounts, starts = self._monetize(positions)
+        publish = np.ones(len(positions), dtype=bool)
+        if threshold is not None and len(ready):
+            fresh = values[len(requote):]
+            kept = below_threshold(fresh, threshold) & below_threshold(
+                self._profits[ready], threshold
+            )
+            self._bounds[ready[kept]] = fresh[kept]
+            publish[len(requote):] = ~kept
+        sel = np.flatnonzero(publish)
+        sel = sel[np.argsort(positions[sel])]
+        published = positions[sel]
+        self._publish(published, values[sel], amounts[sel], starts[sel])
+        self._stale[published] = False
+        return published
+
+    def _threshold(self) -> float:
+        """The K-th largest published profit among the loops whose
+        value is exact (not stale), or 0.0 while fewer than K of them
+        are positive."""
+        profits = self._profits[~self._stale]
+        profits = profits[profits > 0.0]
+        rank = len(profits) - self.top_k
+        if rank < 0:
+            return 0.0
+        return float(np.partition(profits, rank)[rank])
+
+    def _select_requotes(self, unready: np.ndarray, threshold: float) -> np.ndarray:
         """The dirty loops that need an exact quote at the given
-        threshold, in ``stale`` order — one mask over the block.
+        threshold, in ``unready`` order — one mask over the block.
 
         A dirty loop may keep its stale book entry only when *both* its
         fresh profit upper bound and its currently published profit are
         prunable (below the threshold or non-positive): the bound
-        proves the new exact value cannot reach the displayed top K,
-        and the stored check proves the entry it would replace is not
-        sitting in (or above) the top K either.  Everything else —
-        including every NaN bound — gets requoted.
+        proves the new exact value cannot reach the shard's top K, and
+        the published check proves the entry it would replace is not
+        sitting in (or above) it either.  Everything else — including
+        every NaN bound — gets requoted.
         """
-        if not len(stale):
-            return stale
-        with trace.span("shard.bounds", loops=len(stale)):
+        if not len(unready):
+            return unready
+        with trace.span("shard.bounds", loops=len(unready)):
             bounds = self._read(
                 lambda: self._evaluator.monetized_bounds(
-                    self.strategy, self._prices, indices=stale.tolist()
+                    self.strategy, self._prices, indices=unready.tolist()
                 )
             )
-        stale_ok = below_threshold(bounds, threshold) & below_threshold(
-            self._profits[stale], threshold
+        prunable = below_threshold(bounds, threshold) & below_threshold(
+            self._profits[unready], threshold
         )
-        return stale[~stale_ok]
+        self._bounds[unready[prunable]] = bounds[prunable]
+        return unready[~prunable]
+
+    def _restore(self) -> np.ndarray:
+        """Re-value and publish every kept entry whose bound or
+        published profit the current threshold no longer covers (the
+        loops above it fell); return their positions in loop order.
+
+        The other kept entries stay covered (see the module
+        docstring).
+        """
+        threshold = self._threshold()
+        lost = np.flatnonzero(
+            self._stale
+            & ~(
+                below_threshold(self._bounds, threshold)
+                & below_threshold(self._profits, threshold)
+            )
+        )
+        if len(lost):
+            self._value(*self._split(lost), None)
+        return lost
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ def pytest_pyfunc_call(pyfuncitem):
 from repro.amm import Pool, PoolRegistry
 from repro.core import ArbitrageLoop, PriceMap, Token
 from repro.data import paper_market, section5_loop, section5_prices, section5_snapshot
+from repro.data.snapshot import MarketSnapshot
 
 
 @pytest.fixture
@@ -109,3 +110,26 @@ def default_market():
 def simple_prices(tokens_xyz):
     x, y, z = tokens_xyz
     return PriceMap({x: 2.0, y: 10.2, z: 20.0})
+
+
+def _disjoint_triangles(b_reserves):
+    """Disjoint CPMM triangles ``{name}a -> {name}b -> {name}c``, one
+    per ``name: b_reserve`` item: every pool 1000/1000 except each
+    ``{name}-ab`` pool's ``b`` reserve, every price 1.0.  Each
+    triangle's forward loop is its profitable one, worth more the
+    larger that reserve."""
+    registry, prices = PoolRegistry(), {}
+    for name, b_reserve in b_reserves.items():
+        a, b, c = (Token(f"{name}{suffix}") for suffix in "abc")
+        registry.add(Pool(a, b, 1000.0, b_reserve, pool_id=f"{name}-ab"))
+        registry.add(Pool(b, c, 1000.0, 1000.0, pool_id=f"{name}-bc"))
+        registry.add(Pool(c, a, 1000.0, 1000.0, pool_id=f"{name}-ca"))
+        prices.update({a: 1.0, b: 1.0, c: 1.0})
+    return MarketSnapshot(registry, PriceMap(prices))
+
+
+@pytest.fixture(scope="session")
+def disjoint_triangles():
+    """Factory of disjoint-triangle markets (session-scoped, so
+    hypothesis tests may take it too)."""
+    return _disjoint_triangles

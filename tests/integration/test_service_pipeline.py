@@ -14,16 +14,14 @@ import time
 
 import pytest
 
-from repro.amm import Pool, PoolRegistry
 from repro.amm.events import BurnEvent, MintEvent, PriceTickEvent, SwapEvent
-from repro.core import PriceMap, Token
+from repro.core import Token
 from repro.core.errors import (
     EventOrderError,
     InvalidPriceError,
     InvalidReserveError,
     UnknownPoolError,
 )
-from repro.data.snapshot import MarketSnapshot
 from repro.replay import MarketEventLog, generate_event_stream
 from repro.service import (
     OpportunityService,
@@ -673,26 +671,13 @@ class TestBoundPruning:
         ) == report.loops_pruned
         assert report.to_dict()["loops_pruned"] == report.loops_pruned
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: with pruning on, a kept sub-threshold entry "
-        "rises into the top K with a stale value once the entries above "
-        "it fall",
-    )
     @pytest.mark.parametrize("backend", ["inline", "process"])
-    async def test_pruned_top_k_shows_no_stale_entry(self, backend):
+    async def test_pruned_top_k_shows_no_stale_entry(self, backend, disjoint_triangles):
         """Three disjoint triangles A, X and Y (a->b pools mispriced
         1300, 1250, 1200).  Block 1 closes most of X's arbitrage while
         A holds the threshold, so X is pruned and keeps its old entry;
         block 2 does the same to A.  The top 1 must then be Y."""
-        registry, prices = PoolRegistry(), {}
-        for name, b_reserve in (("A", 1300.0), ("X", 1250.0), ("Y", 1200.0)):
-            a, b, c = (Token(f"{name}{suffix}") for suffix in "abc")
-            registry.add(Pool(a, b, 1000.0, b_reserve, pool_id=f"{name}-ab"))
-            registry.add(Pool(b, c, 1000.0, 1000.0, pool_id=f"{name}-bc"))
-            registry.add(Pool(c, a, 1000.0, 1000.0, pool_id=f"{name}-ca"))
-            prices.update({a: 1.0, b: 1.0, c: 1.0})
-        market = MarketSnapshot(registry, PriceMap(prices))
+        market = disjoint_triangles({"A": 1300.0, "X": 1250.0, "Y": 1200.0})
         log = MarketEventLog(
             SwapEvent(
                 pool_id=f"{name}-ab", token_in=Token(f"{name}a"),

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.amm import Pool
 from repro.amm.weighted import WeightedPool
 from repro.core import ArbitrageLoop, InfeasibleProgramError, PriceMap, Token
-from repro.core.errors import SolverConvergenceError
+from repro.core.errors import OptimizationError, SolverConvergenceError
 from repro.data.example import section5_loop, section5_prices
 from repro.optimize import (
     AffineConstraint,
@@ -174,13 +174,38 @@ def solve_outcome(solver, program, start):
     return result.x.tobytes(), result.iterations, result.message
 
 
+def weighted_domain_case():
+    """A weighted triangle on which the reference's line search tries
+    a hop input below -x/gamma (1 of 600 random directed triangles)."""
+    a, b, c = Token("A"), Token("B"), Token("C")
+    w_ab, w_bc, w_ca = 0.7637930400484418, 0.40170140094613693, 0.5512927240927501
+    pools = [
+        WeightedPool(c, a, 45835.87861205251, 1096.592852575822, w_ca, 1 - w_ca),
+        WeightedPool(b, c, 71015.11927695472, 23785.92065149661, w_bc, 1 - w_bc),
+        WeightedPool(a, b, 65410.94957000626, 1284.2014839851279, w_ab, 1 - w_ab),
+    ]
+    prices = PriceMap(
+        {a: 1.9874363188949322, b: 1.6991750454816528, c: 0.8100951563738263}
+    )
+    loop_program = build_loop_program(ArbitrageLoop([a, c, b], pools), prices)
+    return loop_program.program, loop_program.interior_point()
+
+
 @given(case=loop_programs())
+@example(case=weighted_domain_case())
 @settings(max_examples=30, deadline=None)
 def test_loop_program_solve_is_bitwise(case):
+    """Bitwise, except where the reference raises ``TypeError``: its
+    line search compared a weighted hop's complex value (input below
+    -x/gamma), a point ``BarrierSolver`` rejects before evaluating any
+    constraint, so it returns or raises an ``OptimizationError``."""
     program, start = case
-    assert solve_outcome(BarrierSolver(), program, start) == solve_outcome(
-        ReferenceBarrier(), program, start
-    )
+    got = solve_outcome(BarrierSolver(), program, start)
+    want = solve_outcome(ReferenceBarrier(), program, start)
+    if want[0] is TypeError and "complex" in want[1]:
+        assert isinstance(got[0], bytes) or issubclass(got[0], OptimizationError)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("program, start", unit_programs())

@@ -125,42 +125,6 @@ class TestBook:
         assert len(top) == 5
         assert all(a.profit_usd >= b.profit_usd for a, b in zip(top, top[1:]))
 
-    def test_kth_profit_basics(self):
-        book = OpportunityBook()
-        book.apply(0, 0, [make_entry("a", 5.0), make_entry("b", 3.0),
-                          make_entry("c", 1.0), make_entry("d", -2.0)])
-        assert book.kth_profit(1) == 5.0
-        assert book.kth_profit(2) == 3.0
-        assert book.kth_profit(3) == 1.0
-        # fewer than k profitable entries -> no threshold (0.0)
-        assert book.kth_profit(4) == 0.0
-        assert book.kth_profit(0) == 0.0
-        # reads are non-destructive
-        assert book.kth_profit(2) == 3.0
-        assert [e.loop_id for e in book.top(3)] == ["a", "b", "c"]
-
-    def test_kth_profit_excludes_in_flight_loops(self):
-        book = OpportunityBook()
-        book.apply(0, 0, [make_entry("a", 5.0), make_entry("b", 3.0),
-                          make_entry("c", 1.0)])
-        # excluding the leader shifts every rank down
-        assert book.kth_profit(1, exclude={"a"}) == 3.0
-        assert book.kth_profit(2, exclude={"a"}) == 1.0
-        # excluded entries also don't count toward "k found"
-        assert book.kth_profit(3, exclude={"a"}) == 0.0
-        assert book.kth_profit(1, exclude={"a", "b", "c"}) == 0.0
-
-    def test_kth_profit_skips_stale_and_duplicate_tuples(self):
-        book = OpportunityBook()
-        book.apply(0, 0, [make_entry("a", 5.0), make_entry("b", 4.0)])
-        book.apply(1, 0, [make_entry("a", 2.0)])   # stale 5.0 tuple
-        book.apply(2, 0, [make_entry("b", 4.0)])   # no-op: same value
-        book.apply(3, 0, [make_entry("b", 1.0)])
-        book.apply(4, 0, [make_entry("b", 4.0)])   # duplicate live key
-        assert book.kth_profit(1) == 4.0
-        assert book.kth_profit(2) == 2.0
-        assert book.kth_profit(3) == 0.0
-
     def test_snapshot_is_sequenced_and_sorted(self):
         book = OpportunityBook()
         book.apply(0, 0, [make_entry("b", 1.0), make_entry("a", 2.0),

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.amm.events import PriceTickEvent, SwapEvent
+from repro.core import Token
 from repro.market import MarketArrays, PoolHandle
 from repro.replay import apply_block_events, generate_event_stream, rebind_loops
 from repro.service import (
@@ -116,89 +117,155 @@ class TestShardWorker:
         assert update.evaluated == 0
         assert update.entries == ()
 
-    def test_published_profit_at_threshold_forces_requote(self, workload):
+    def test_top_k_must_be_positive(self, workload):
+        market, _ = workload
+        with pytest.raises(ValueError, match="top_k"):
+            _worker(market, _loops_for(market), top_k=0)
+
+    def test_published_profit_at_threshold_forces_requote(self, disjoint_triangles):
         """A dirty loop whose fresh bound is prunable is still
         re-quoted while its published profit reaches the threshold:
-        that stale entry may sit in the displayed top K."""
-        market, _ = workload
+        that entry may sit in the top K.  X ties A, the untouched loop
+        that sets the top-1 threshold; a small swap on X with X's
+        prices down 1e9x sends X's loops down the bound path with bounds
+        far below it."""
+        market = disjoint_triangles({"A": 1300.0, "X": 1300.0, "Y": 1200.0})
         loops = _loops_for(market)
-        worker = _worker(market, loops)
-        entries = worker.initial_entries()
-        profits = [entry.profit_usd for entry in entries]
-        best = max(range(len(loops)), key=profits.__getitem__)
-        threshold = profits[best]
-        assert threshold > 0.0 and profits.count(threshold) == 1
-        # a small swap on one of the best loop's pools sends it (and
-        # every loop sharing that pool) down the bound path; every loop
-        # token's price down 1e9x makes each fresh monetized bound fall
-        # far below the threshold, while the published profits stay as
-        # they were
-        pool = loops[best].pools[0]
-        swap = SwapEvent(
-            pool_id=pool.pool_id, token_in=pool.token0, token_out=pool.token1,
-            amount_in=pool.reserve0 * 1e-6, amount_out=0.0, block=1,
+        worker = _worker(market, loops, top_k=1)
+        profits = dict(
+            zip((loop.canonical_id for loop in loops), worker.profits.tolist())
         )
-        crossing = sum(
-            pool.pool_id in {p.pool_id for p in loop.pools} for loop in loops
+        assert profits[_forward("X")] == profits[_forward("A")] > 0.0
+        swap = SwapEvent(
+            pool_id="X-ab", token_in=Token("Xa"), token_out=Token("Xb"),
+            amount_in=1e-3, amount_out=0.0, block=1,
         )
         update = worker.process_block(
-            _write(
-                market.copy(), worker.store, 1, [swap, *_crash_ticks(market, loops)],
-                threshold=threshold,
-            )
+            _write(market.copy(), worker.store, 1, [swap, *_crash_ticks(market, "X")])
         )
-        assert [entry.loop_id for entry in update.entries] == [entries[best].loop_id]
-        assert update.evaluated - update.remonetized == 1
-        assert update.pruned == crossing - 1
-        # the rest were dirtied by ticks alone and held valid quotes
-        assert update.remonetized == len(loops) - crossing
+        assert [entry.loop_id for entry in update.entries] == [_forward("X")]
+        assert update.evaluated == 1 and update.remonetized == 0
+        # X's unprofitable direction: bound and published profit both 0
+        assert update.pruned == 1
+        assert update.restored == 0
 
-    def test_published_profit_at_threshold_is_republished_on_ticks(self, workload):
-        """The tick-only twin: every loop is re-monetized from its
+    def test_published_profit_at_threshold_is_republished_on_ticks(
+        self, disjoint_triangles
+    ):
+        """The tick-only twin: X's loops are re-monetized from their
         stored quotes, and the at-threshold loop is the only entry
         published — the predicate a re-quote is held to."""
-        market, _ = workload
+        market = disjoint_triangles({"A": 1300.0, "X": 1300.0, "Y": 1200.0})
         loops = _loops_for(market)
-        worker = _worker(market, loops)
-        entries = worker.initial_entries()
-        profits = [entry.profit_usd for entry in entries]
-        best = max(range(len(loops)), key=profits.__getitem__)
-        threshold = profits[best]
+        worker = _worker(market, loops, top_k=1)
         update = worker.process_block(
-            BlockWork.from_events(
-                1, _crash_ticks(market, loops), worker.store, threshold=threshold
-            )
+            BlockWork.from_events(1, _crash_ticks(market, "X"), worker.store)
         )
-        assert [entry.loop_id for entry in update.entries] == [entries[best].loop_id]
-        assert update.evaluated == update.remonetized == len(loops)
-        assert update.pruned == 0
+        assert [entry.loop_id for entry in update.entries] == [_forward("X")]
+        assert update.evaluated == update.remonetized == 2
+        assert update.pruned == 0 and update.restored == 0
 
-    def test_pruned_pool_move_drops_stored_quotes(self, workload):
+    def test_kept_entry_is_restored_once_the_loops_above_it_fall(
+        self, disjoint_triangles
+    ):
+        """Block 1 collapses X's arbitrage while A holds the top-1
+        threshold, so X keeps its stale entry.  Block 2 does the same
+        to A: the threshold falls to Y, below X's stale entry, and the
+        same update restores X at its exact value."""
+        market = disjoint_triangles({"A": 1300.0, "X": 1250.0, "Y": 1200.0})
+        loops = _loops_for(market)
+        worker = _worker(market, loops, top_k=1)
+        private = market.copy()
+        first = worker.process_block(
+            _write(private, worker.store, 1, [_collapse("X", 1)])
+        )
+        assert first.entries == () and first.pruned == 2
+        second = worker.process_block(
+            _write(private, worker.store, 2, [_collapse("A", 2)])
+        )
+        # A's two loops are the dirty set; the restore sits outside it
+        assert second.evaluated + second.pruned == 2
+        assert second.restored == 1
+        by_id = {entry.loop_id: entry for entry in second.entries}
+        x_forward = next(loop for loop in loops if loop.canonical_id == _forward("X"))
+        fresh = MaxMaxStrategy().evaluate(_current(private, x_forward), market.prices)
+        assert by_id[_forward("X")].profit_usd == fresh.monetized_profit
+        assert by_id[_forward("X")].block == 2
+        # the shard's top 1 is Y at its exact value
+        profits = worker.profits
+        best = loops[int(profits.argmax())]
+        assert best.canonical_id == _forward("Y")
+        assert profits.max() == MaxMaxStrategy().evaluate(
+            _current(private, best), market.prices
+        ).monetized_profit
+
+    def test_dirty_loops_do_not_set_their_own_threshold(self, disjoint_triangles):
+        """One block collapses A, the top loop, and nudges Y.  A's old
+        profit must not set the threshold Y is pruned against: Y is
+        quoted, and nothing is restored, so every restore lies outside
+        its block's dirty set."""
+        market = disjoint_triangles({"A": 1400.0, "Y": 1200.0})
+        worker = _worker(market, _loops_for(market), top_k=1)
+        nudge = SwapEvent(
+            pool_id="Y-ab", token_in=Token("Ya"), token_out=Token("Yb"),
+            amount_in=1e-3, amount_out=0.0, block=1,
+        )
+        update = worker.process_block(
+            _write(market.copy(), worker.store, 1, [_collapse("A", 1), nudge])
+        )
+        assert _forward("Y") in {entry.loop_id for entry in update.entries}
+        assert update.evaluated == update.pruned == 2
+        assert update.restored == 0
+
+    def test_top_k_of_every_loop_prunes_only_non_positive_loops(self, workload):
+        """Replay's setting: with K the number of loops the threshold
+        is 0 on every block that dirties a loop, so a loop keeps its
+        entry only while its bound and published profit are both
+        non-positive, and nothing is ever restored."""
+        market, log = workload
+        loops = _loops_for(market)
+        runs = [
+            (_worker(market, loops, top_k=top_k), market.copy())
+            for top_k in (len(loops), None)
+        ]
+        pruned = 0
+        for block, events in log.iter_blocks():
+            fast, full = (
+                worker.process_block(_write(private, worker.store, block, events))
+                for worker, private in runs
+            )
+            assert fast.restored == 0
+            assert fast.evaluated + fast.pruned == full.evaluated
+            pruned += fast.pruned
+            kept, exact = (worker.profits for worker, _ in runs)
+            differ = kept != exact
+            assert (kept[differ] <= 0.0).all() and (exact[differ] <= 0.0).all()
+        assert pruned > 0
+
+    def test_pruned_pool_move_drops_stored_quotes(self, disjoint_triangles):
         """A loop bound-pruned after a swap holds no valid quotes: a
         later tick values it with a fresh quote, never from its
         pre-swap rotation quotes."""
-        market, _ = workload
+        market = disjoint_triangles({"A": 1300.0, "X": 1250.0})
         loops = _loops_for(market)
-        worker = _worker(market, loops)
-        profits = [entry.profit_usd for entry in worker.initial_entries()]
-        target = loops[max(range(len(loops)), key=profits.__getitem__)]
-        pool = target.pools[0]
+        worker = _worker(market, loops, top_k=1)
         private = market.copy()
-        swap = SwapEvent(
-            pool_id=pool.pool_id, token_in=pool.token0, token_out=pool.token1,
-            amount_in=pool.reserve0 * 0.01, amount_out=0.0, block=1,
-        )
-        # a threshold no bound reaches: every dirty loop is pruned
+        # A holds the top-1 threshold: both of X's loops are pruned
         update = worker.process_block(
-            _write(private, worker.store, 1, [swap], threshold=1e18)
+            _write(private, worker.store, 1, [_collapse("X", 1)])
         )
-        assert update.entries == () and update.evaluated == 0
-        token = target.tokens[1]
-        prices = market.prices.with_price(token, market.prices[token] * 1.1)
+        assert update.entries == () and update.pruned == 2
+        # the collapse left X's reverse loop the profitable one; its
+        # pre-swap quote is unprofitable.  A tick lifts its fresh
+        # bound over the threshold, so it is quoted again
+        target = next(loop for loop in loops if loop.canonical_id == _reverse("X"))
+        token = Token("Xb")
+        prices = market.prices.with_price(token, 100.0)
         tick = PriceTickEvent(token, prices[token], block=2)
         update = worker.process_block(_write(private, worker.store, 2, [tick]))
         entry = next(e for e in update.entries if e.loop_id == target.canonical_id)
         fresh = MaxMaxStrategy().evaluate(_current(private, target), prices)
+        assert fresh.monetized_profit > 0.0
         assert entry.profit_usd == fresh.monetized_profit
         assert entry.amount_in == fresh.amount_in
         assert entry.start_symbol == fresh.start_token.symbol
@@ -236,10 +303,30 @@ class TestShardWorker:
         )
 
 
-def _crash_ticks(market, loops):
-    """Every loop token's price down 1e9x, at block 1."""
-    tokens = sorted({t for loop in loops for t in loop.tokens}, key=str)
-    return [PriceTickEvent(t, market.prices[t] * 1e-9, block=1) for t in tokens]
+def _forward(name):
+    return f"{name}a/{name}-ab|{name}b/{name}-bc|{name}c/{name}-ca"
+
+
+def _reverse(name):
+    return f"{name}a/{name}-ca|{name}c/{name}-bc|{name}b/{name}-ab"
+
+
+def _collapse(name, block):
+    """150 of ``{name}a`` into ``{name}-ab``: the forward loop turns
+    unprofitable and the reverse one slightly profitable."""
+    return SwapEvent(
+        pool_id=f"{name}-ab", token_in=Token(f"{name}a"),
+        token_out=Token(f"{name}b"), amount_in=150.0, amount_out=0.0,
+        block=block,
+    )
+
+
+def _crash_ticks(market, name):
+    """Every token of triangle ``name`` down 1e9x, at block 1."""
+    return [
+        PriceTickEvent(token, market.prices[token] * 1e-9, block=1)
+        for token in (Token(f"{name}{suffix}") for suffix in "abc")
+    ]
 
 
 def _current(private, loop):
@@ -255,7 +342,7 @@ def _loops_for(market, length=3):
     return [universe.candidates[i] for i in plan.shard_loops[0]]
 
 
-def _worker(market, loops, shard_id=0, strategy=None):
+def _worker(market, loops, shard_id=0, strategy=None, top_k=None):
     """A worker over a fresh in-process store of ``market``."""
     return ShardWorker(
         shard_id,
@@ -263,16 +350,17 @@ def _worker(market, loops, shard_id=0, strategy=None):
         loops,
         strategy if strategy is not None else MaxMaxStrategy(),
         market.prices,
+        top_k=top_k,
     )
 
 
-def _write(private, store, block, events, threshold=None):
+def _write(private, store, block, events):
     """Play the ingest stage: apply ``events`` to its private market
     copy, pull the dirty rows into the store, then build the block's
     work item."""
     _, dirty, _, _ = apply_block_events(private.registry, private.prices, events)
     store.pull(private.registry, dirty)
-    return BlockWork.from_events(block, events, store, threshold=threshold)
+    return BlockWork.from_events(block, events, store)
 
 
 def test_generate_stream_feeds_worker_consistently(workload):

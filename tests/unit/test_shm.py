@@ -295,6 +295,5 @@ def test_shared_block_work_pickles_small():
         ticks=((0, 1.25), (1, 0.5)),
         t_ingest=0.0,
         t_dispatch=0.0,
-        threshold=1.0,
     )
     assert len(pickle.dumps(work)) < 600

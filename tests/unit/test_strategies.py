@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import StrategyError, Token
+from repro.amm.weighted import WeightedPool
+from repro.core import ArbitrageLoop, PriceMap, StrategyError, Token
 from repro.data import section5_loop, section5_prices
 from repro.strategies import (
     ConvexOptimizationStrategy,
@@ -177,6 +178,27 @@ class TestConvexOptimization:
     def test_invalid_linking(self):
         with pytest.raises(ValueError, match="linking"):
             ConvexOptimizationStrategy(linking="bogus")
+
+    def test_line_search_below_weighted_hop_domain(self):
+        """A weighted triangle whose barrier line search tries a point
+        where a hop's input is below -x/gamma (its G3M value complex
+        there): the barrier rejects the point, and the strategy returns
+        a result at or above MaxMax instead of raising ``TypeError``."""
+        a, b, c = Token("A"), Token("B"), Token("C")
+
+        def pool(t0, t1, x, y, w0):
+            return WeightedPool(t0, t1, x, y, w0, 1 - w0)
+
+        ab = pool(a, b, 65410.94957000626, 1284.2014839851279, 0.7637930400484418)
+        bc = pool(b, c, 71015.11927695472, 23785.92065149661, 0.40170140094613693)
+        ca = pool(c, a, 45835.87861205251, 1096.592852575822, 0.5512927240927501)
+        prices = PriceMap(
+            {a: 1.9874363188949322, b: 1.6991750454816528, c: 0.8100951563738263}
+        )
+        loop = ArbitrageLoop([a, c, b], [ca, bc, ab])
+        convex = ConvexOptimizationStrategy().evaluate(loop, prices)
+        maxmax = MaxMaxStrategy().evaluate(loop, prices)
+        assert convex.monetized_profit >= maxmax.monetized_profit > 0.0
 
     def test_details_record_backend(self, s5_loop, s5_prices):
         result = ConvexOptimizationStrategy(backend="slsqp").evaluate(
