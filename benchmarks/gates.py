@@ -47,8 +47,8 @@ from repro.market import (
     integer_batch_quotes,
     integer_hops,
 )
-from repro.replay import ReplayDriver, generate_event_stream
-from repro.service import OpportunityService, batch_detect_ranking, log_source, make_workload
+from repro.replay import ReplayDriver, generate_event_stream, make_workload
+from repro.service import OpportunityService, batch_detect_ranking, log_source
 from repro.strategies import MaxMaxStrategy
 from repro.telemetry import trace
 from repro.telemetry.trace import Tracer

@@ -12,7 +12,7 @@ Examples::
     repro-arb replay --blocks 12       # stream a synthetic event log
     repro-arb replay --events stream.jsonl --snapshot market.json
     repro-arb serve --shards 4         # live top-K book off a stream
-    repro-arb loadgen --rates 0,500    # measure sustained throughput
+    repro-arb serve --rate 500 --json load.json  # paced; ev/s and p50/p99
 
 (Equivalently ``python -m repro ...``.)
 
@@ -50,6 +50,39 @@ def package_version() -> str:
         from importlib.metadata import version
 
         return version("repro-arb")
+
+
+# the synthetic-stream flags of ``replay`` and ``serve``:
+# (flag, dest, type, default for a generated stream, help)
+_STREAM_FLAGS = (
+    ("--seed", "seed", int, 7, "synthetic stream seed"),
+    ("--tokens", "tokens", int, 12, "synthetic market tokens"),
+    ("--pools", "pools", int, 30, "synthetic market pools"),
+    ("--blocks", "blocks", int, 12, "blocks in the synthetic stream"),
+    ("--events-per-block", "events_per_block", int, 6,
+     "pool events per synthetic block"),
+    ("--stableswap-fraction", "stableswap_fraction", float, 0.0,
+     "fraction of synthetic pools built as stableswap pools"),
+)
+
+
+def _add_stream_options(p: argparse.ArgumentParser) -> None:
+    """Declare the stream options of ``replay`` and ``serve`` (read by ``_stream``)."""
+    p.add_argument("--events", help="JSONL event log (needs --snapshot)")
+    p.add_argument("--snapshot", help="market snapshot JSON the log starts from")
+    # None = "not given", so combining them with --events can be
+    # rejected instead of silently ignored; _stream fills the defaults
+    for flag, dest, kind, default, text in _STREAM_FLAGS:
+        p.add_argument(flag, type=kind, default=None, dest=dest,
+                       metavar="FRAC" if kind is float else None,
+                       help=f"{text} (default {default:g})")
+
+
+def _add_trace_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", metavar="FILE",
+                   help="record pipeline spans and write a trace on exit "
+                   "(.jsonl = span lines, anything else = Chrome/Perfetto "
+                   "JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,10 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(floor division, 18-decimal base units): adds the "
                    "base-unit profit the chain would actually pay next to "
                    "the float estimate")
-    p.add_argument("--trace", metavar="FILE",
-                   help="record pipeline spans and write a trace on exit "
-                   "(.jsonl = span lines, anything else = Chrome/Perfetto "
-                   "JSON)")
+    _add_trace_option(p)
 
     p = sub.add_parser(
         "sweep", help="price sweep of the §V loop through the batched engine"
@@ -171,21 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream swap/mint/burn events through the engine, "
         "re-detecting arbitrage incrementally per block",
     )
-    p.add_argument("--events", help="JSONL event log (needs --snapshot)")
-    p.add_argument("--snapshot", help="market snapshot JSON the log starts from")
-    # synthetic-stream parameters: None = "not given", so combining
-    # them with --events can be rejected instead of silently ignored
-    p.add_argument("--seed", type=int, default=None,
-                   help="synthetic stream seed (default 7)")
-    p.add_argument("--tokens", type=int, default=None, help="default 12")
-    p.add_argument("--pools", type=int, default=None, help="default 30")
-    p.add_argument("--blocks", type=int, default=None, help="default 12")
-    p.add_argument("--events-per-block", type=int, default=None,
-                   dest="events_per_block", help="default 6")
-    p.add_argument("--stableswap-fraction", type=float, default=None,
-                   dest="stableswap_fraction", metavar="FRAC",
-                   help="fraction of synthetic pools built as stableswap "
-                   "pools (default 0)")
+    _add_stream_options(p)
     p.add_argument("--length", type=int, default=3, help="candidate loop length")
     p.add_argument("--strategies", default="maxmax",
                    help="comma-separated registry names to score loops with")
@@ -199,31 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the starting market to a JSON file "
                    "(a stream is only replayable together with its snapshot)")
     p.add_argument("--csv", help="write the per-block report to a CSV file")
-    p.add_argument("--trace", metavar="FILE",
-                   help="record pipeline spans and write a trace on exit "
-                   "(.jsonl = span lines, anything else = Chrome/Perfetto "
-                   "JSON)")
+    _add_trace_option(p)
 
     p = sub.add_parser(
         "serve",
         help="run the streaming opportunity service: sharded ingest of an "
         "event stream into a live top-K arbitrage book",
     )
-    p.add_argument("--events", help="JSONL event log (needs --snapshot)")
-    p.add_argument("--snapshot", help="market snapshot JSON the log starts from")
+    _add_stream_options(p)
     p.add_argument("--simulate", type=int, default=None, metavar="BLOCKS",
                    help="ingest live from a running simulation instead of a "
                    "prerecorded stream (retail flow over the synthetic market)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tokens", type=int, default=12)
-    p.add_argument("--pools", type=int, default=30)
-    p.add_argument("--blocks", type=int, default=12)
-    p.add_argument("--events-per-block", type=int, default=6,
-                   dest="events_per_block")
-    p.add_argument("--stableswap-fraction", type=float, default=0.0,
-                   dest="stableswap_fraction", metavar="FRAC",
-                   help="fraction of synthetic pools built as stableswap "
-                   "pools (default 0)")
     p.add_argument("--length", type=int, default=3, help="candidate loop length")
     p.add_argument("--strategy", default="maxmax",
                    help="registry name of the book's scoring strategy")
@@ -239,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full-queue behaviour: backpressure or shed blocks")
     p.add_argument("--queue-size", type=int, default=64, dest="queue_size")
     p.add_argument("--rate", type=float, default=0.0,
-                   help="offered events/sec (0 = as fast as possible)")
+                   help="offered events/sec (0 = as fast as possible); "
+                   "--json reports the sustained events/sec and end-to-end "
+                   "latency percentiles, so a rate ladder is a shell loop")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--no-prune", action="store_true",
                    help="disable bound-based re-quote pruning (by default "
@@ -248,55 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
                    "book is identical either way)")
     p.add_argument("--json", help="write the full service report to a JSON file")
     p.add_argument("--csv", help="write the final book (top-K) to a CSV file")
-    p.add_argument("--trace", metavar="FILE",
-                   help="record pipeline spans and write a trace on exit "
-                   "(.jsonl = span lines, anything else = Chrome/Perfetto "
-                   "JSON)")
+    _add_trace_option(p)
     p.add_argument("--metrics-port", type=int, default=None, dest="metrics_port",
                    metavar="PORT",
                    help="serve a live Prometheus /metrics (and /json) "
                    "endpoint on this port for the duration of the run "
                    "(0 = ephemeral; the bound port is printed)")
-
-    p = sub.add_parser(
-        "loadgen",
-        help="load-generate against the opportunity service and report "
-        "sustained events/sec and end-to-end latency percentiles",
-    )
-    p.add_argument("--seed", type=int, default=20240601)
-    p.add_argument("--tokens", type=int, default=40)
-    p.add_argument("--pools", type=int, default=100)
-    p.add_argument("--blocks", type=int, default=20)
-    p.add_argument("--events-per-block", type=int, default=8,
-                   dest="events_per_block")
-    p.add_argument("--pools-per-block", type=int, default=None,
-                   dest="pools_per_block",
-                   help="touch sparsity: max distinct pools per block")
-    p.add_argument("--stableswap-fraction", type=float, default=0.0,
-                   dest="stableswap_fraction", metavar="FRAC",
-                   help="fraction of synthetic pools built as stableswap "
-                   "pools (default 0)")
-    p.add_argument("--length", type=int, default=3)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--backend", choices=("inline", "process"), default="inline")
-    p.add_argument("--start-method", choices=("fork", "spawn"), default=None,
-                   dest="start_method",
-                   help="multiprocessing start method for --backend process")
-    p.add_argument("--policy", choices=("block", "drop"), default="block")
-    p.add_argument("--queue-size", type=int, default=64, dest="queue_size")
-    p.add_argument("--prune-top-k", type=int, default=None, dest="prune_top_k",
-                   help="enable bound-based re-quote pruning: each shard "
-                   "prunes against the K-th profit of its own loops "
-                   "(default: off)")
-    p.add_argument("--rates", default="0",
-                   help="comma-separated offered rates (events/sec, 0 = "
-                   "unthrottled); one run and one report row per rate")
-    p.add_argument("--json", help="write the reports to a JSON file")
-    p.add_argument("--csv", help="write one CSV row per run")
-    p.add_argument("--trace", metavar="FILE",
-                   help="record pipeline spans and write a trace on exit "
-                   "(.jsonl = span lines, anything else = Chrome/Perfetto "
-                   "JSON)")
 
     return parser
 
@@ -427,6 +388,8 @@ def _cmd_calibrate(args) -> None:
 
 
 def _cmd_detect(args) -> None:
+    if args.top < 1:
+        raise SystemExit(f"--top must be >= 1, got {args.top}")
     snapshot = paper_market(
         seed=args.seed, stableswap_fraction=args.stableswap_fraction
     )
@@ -637,52 +600,46 @@ def _cmd_efficiency(args) -> None:
     print(f"arbitrageur: {arb.trades} trades, ${arb.cumulative_usd:,.2f} profit")
 
 
-def _cmd_replay(args) -> None:
+def _stream(args):
+    """The ``(market, log)`` pair ``replay`` and ``serve`` run.
+
+    With ``--events``/``--snapshot`` both files are loaded, and any
+    synthetic flag given is rejected.  Otherwise the stream is generated,
+    and each synthetic flag not given is set on ``args`` to its
+    ``_STREAM_FLAGS`` default.  Bad sizes and unreadable or malformed
+    files exit with one line.
+    """
     from .data.snapshot import MarketSnapshot
-    from .data.synthetic import SyntheticMarketGenerator
-    from .replay import MarketEventLog, ReplayDriver, generate_event_stream
-    from .strategies import make_strategy
+    from .replay import MarketEventLog, make_workload
 
     if (args.events is None) != (args.snapshot is None):
         raise SystemExit("--events and --snapshot must be given together")
-    synthetic_given = {
-        "--seed": args.seed,
-        "--tokens": args.tokens,
-        "--pools": args.pools,
-        "--blocks": args.blocks,
-        "--events-per-block": args.events_per_block,
-        "--stableswap-fraction": args.stableswap_fraction,
-    }
-    if args.events:
-        extras = [flag for flag, value in synthetic_given.items() if value is not None]
-        if extras:
-            raise SystemExit(
-                f"{', '.join(extras)} only shape generated streams; "
-                "they cannot apply to a stream loaded with --events"
-            )
-        market = MarketSnapshot.load(args.snapshot)
-        log = MarketEventLog.load(args.events)
-    else:
-        seed = args.seed if args.seed is not None else 7
-        market = SyntheticMarketGenerator(
-            n_tokens=args.tokens if args.tokens is not None else 12,
-            n_pools=args.pools if args.pools is not None else 30,
-            seed=seed,
-            price_noise=0.015,
-            stableswap_fraction=(
-                args.stableswap_fraction
-                if args.stableswap_fraction is not None
-                else 0.0
-            ),
-        ).generate()
-        log = generate_event_stream(
-            market,
-            n_blocks=args.blocks if args.blocks is not None else 12,
-            events_per_block=(
-                args.events_per_block if args.events_per_block is not None else 6
-            ),
-            seed=seed,
+    given = [flag for flag, dest, *_ in _STREAM_FLAGS if getattr(args, dest) is not None]
+    if args.events and given:
+        raise SystemExit(
+            f"{', '.join(given)} only shape generated streams; "
+            "they cannot apply to a stream loaded with --events"
         )
+    try:
+        if args.events:
+            return MarketSnapshot.load(args.snapshot), MarketEventLog.load(args.events)
+        for _flag, dest, _kind, default, _text in _STREAM_FLAGS:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+        return make_workload(
+            args.tokens, args.pools, args.blocks, args.events_per_block,
+            args.seed, price_noise=0.015,
+            stableswap_fraction=args.stableswap_fraction,
+        )
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _cmd_replay(args) -> None:
+    from .replay import ReplayDriver
+    from .strategies import make_strategy
+
+    market, log = _stream(args)
     if args.save_events:
         log.save(args.save_events)
         print(f"wrote {args.save_events}")
@@ -699,10 +656,13 @@ def _cmd_replay(args) -> None:
         raise SystemExit(str(exc)) from None
 
     prune = args.mode == "incremental" and not args.no_prune
-    driver = ReplayDriver(
-        market, strategies=strategies, length=args.length, mode=args.mode,
-        prune=prune,
-    )
+    try:
+        driver = ReplayDriver(
+            market, strategies=strategies, length=args.length, mode=args.mode,
+            prune=prune,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     result = driver.replay(log)
 
     header = ["block", "events", "dirty", "evaluated", "loops>0", "mispricing"]
@@ -760,7 +720,7 @@ def _cmd_replay(args) -> None:
 def _install_sigterm_exit() -> None:
     """Make SIGTERM unwind as SystemExit so ``finally`` blocks run.
 
-    The serve/loadgen process backend owns a shared-memory segment; a
+    The serve process backend owns a shared-memory segment; a
     default SIGTERM would kill the process without running the cleanup
     that unlinks it from /dev/shm.  Raising SystemExit routes termination
     through the normal ``finally``/atexit path instead.  Main thread
@@ -781,14 +741,9 @@ def _install_sigterm_exit() -> None:
 def _cmd_serve(args) -> None:
     import asyncio
 
-    from .data.snapshot import MarketSnapshot
-    from .data.synthetic import SyntheticMarketGenerator
-    from .replay import MarketEventLog, generate_event_stream
     from .service import OpportunityService, log_source, paced, simulation_source
     from .strategies import make_strategy
 
-    if (args.events is None) != (args.snapshot is None):
-        raise SystemExit("--events and --snapshot must be given together")
     if args.events and args.simulate is not None:
         raise SystemExit("--simulate and --events are mutually exclusive sources")
     try:
@@ -797,36 +752,27 @@ def _cmd_serve(args) -> None:
         raise SystemExit(str(exc)) from None
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
+    if args.top < 1:
+        raise SystemExit(f"--top must be >= 1, got {args.top}")
 
-    if args.events:
-        market = MarketSnapshot.load(args.snapshot)
-        log = MarketEventLog.load(args.events)
-        source = log_source(log)
-        origin = f"{args.events} ({len(log)} events)"
+    market, log = _stream(args)
+    if args.simulate is not None:
+        from .simulation import SimulationEngine
+        from .simulation.agents import RetailTrader
+
+        source = simulation_source(
+            SimulationEngine(
+                market, [RetailTrader(seed=args.seed)], price_seed=args.seed
+            ),
+            args.simulate,
+        )
+        origin = f"live simulation ({args.simulate} blocks)"
     else:
-        market = SyntheticMarketGenerator(
-            n_tokens=args.tokens, n_pools=args.pools, seed=args.seed,
-            price_noise=0.015,
-            stableswap_fraction=args.stableswap_fraction,
-        ).generate()
-        if args.simulate is not None:
-            from .simulation import SimulationEngine
-            from .simulation.agents import RetailTrader
-
-            source = simulation_source(
-                SimulationEngine(
-                    market, [RetailTrader(seed=args.seed)], price_seed=args.seed
-                ),
-                args.simulate,
-            )
-            origin = f"live simulation ({args.simulate} blocks)"
-        else:
-            log = generate_event_stream(
-                market, n_blocks=args.blocks,
-                events_per_block=args.events_per_block, seed=args.seed,
-            )
-            source = log_source(log)
-            origin = f"synthetic stream ({len(log)} events, {args.blocks} blocks)"
+        source = log_source(log)
+        origin = (
+            f"{args.events} ({len(log)} events)" if args.events
+            else f"synthetic stream ({len(log)} events, {args.blocks} blocks)"
+        )
     if args.rate > 0:
         source = paced(source, args.rate)
 
@@ -840,7 +786,7 @@ def _cmd_serve(args) -> None:
             backend=args.backend,
             queue_size=args.queue_size,
             ingest_policy=args.policy,
-            prune_top_k=None if args.no_prune else max(1, args.top),
+            prune_top_k=None if args.no_prune else args.top,
             start_method=args.start_method,
         )
     except ValueError as exc:
@@ -921,74 +867,6 @@ def _cmd_serve(args) -> None:
         print(f"wrote {args.csv}")
 
 
-def _cmd_loadgen(args) -> None:
-    from .service import loadgen
-
-    try:
-        rates = [float(piece) for piece in args.rates.split(",") if piece.strip()]
-    except ValueError:
-        raise SystemExit(f"--rates must be comma-separated numbers, got {args.rates!r}") from None
-    if not rates:
-        raise SystemExit("--rates needs at least one rate")
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-
-    market, log = loadgen.make_workload(
-        args.tokens, args.pools, args.blocks, args.events_per_block, args.seed,
-        pools_per_block=args.pools_per_block,
-        stableswap_fraction=args.stableswap_fraction,
-    )
-    _install_sigterm_exit()
-    print(
-        f"loadgen: {len(log)} events over {args.blocks} blocks, "
-        f"{args.pools} pools, {args.shards} shard(s) [{args.backend}]"
-    )
-    reports = []
-    for rate in rates:
-        reports.append(
-            loadgen.run_load(
-                market, log,
-                rate=rate,
-                n_shards=args.shards,
-                length=args.length,
-                backend=args.backend,
-                ingest_policy=args.policy,
-                queue_size=args.queue_size,
-                n_tokens=args.tokens,
-                n_blocks=args.blocks,
-                prune_top_k=args.prune_top_k,
-                start_method=args.start_method,
-            )
-        )
-    rows = [
-        (
-            "max" if row["rate"] == 0 else f"{row['rate']:,.0f}",
-            f"{row['events_per_s']:,.0f}",
-            row["events_dropped"],
-            f"{row['e2e_p50_ms']:.2f}",
-            f"{row['e2e_p95_ms']:.2f}",
-            f"{row['e2e_p99_ms']:.2f}",
-            row["evaluations"],
-            row["loops_pruned"],
-        )
-        for row in (r.to_row() for r in reports)
-    ]
-    print(report.format_table(
-        ["offered ev/s", "achieved ev/s", "dropped", "p50 ms", "p95 ms",
-         "p99 ms", "evals", "pruned"],
-        rows,
-    ))
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
-        print(f"wrote {args.json}")
-    if args.csv:
-        loadgen.save_rows_csv(reports, args.csv)
-        print(f"wrote {args.csv}")
-
-
 _HANDLERS = {
     "section5": _cmd_section5,
     "fig1": _cmd_fig1,
@@ -1010,7 +888,6 @@ _HANDLERS = {
     "efficiency": _cmd_efficiency,
     "replay": _cmd_replay,
     "serve": _cmd_serve,
-    "loadgen": _cmd_loadgen,
 }
 
 

@@ -8,7 +8,8 @@ stream a first-class artifact and re-runs arbitrage detection
 * :class:`MarketEventLog` — a block-ordered, JSONL-serializable event
   stream (the events themselves live in :mod:`repro.amm.events`);
 * :func:`generate_event_stream` — seeded synthetic streams scaled to
-  N pools × M events;
+  N pools × M events, and :func:`make_workload`, which generates the
+  market it starts from as well;
 * :class:`ReplayDriver` — applies events to a private market copy and
   re-evaluates only the loops whose pools (or token prices) changed,
   through one inline :class:`~repro.service.ShardWorker` per strategy
@@ -17,8 +18,8 @@ stream a first-class artifact and re-runs arbitrage detection
 * :class:`BlockReport` / :class:`ReplayResult` — per-block profit and
   mispricing reporting.
 
-The ``repro-arb replay`` CLI command and the simulation engine's event
-emission both build on this package; the ``replay_throughput``
+The ``repro-arb replay`` and ``serve`` CLI commands and the simulation
+engine's event emission build on this package; the ``replay_throughput``
 section of ``benchmarks/gates.py`` pins the incremental speedup.
 """
 
@@ -29,7 +30,7 @@ from .apply import (
     rebind_loops,
 )
 from .driver import BlockReport, ReplayDriver, ReplayResult
-from .generator import generate_event_stream
+from .generator import generate_event_stream, make_workload
 from .log import MarketEventLog, event_from_dict, event_to_dict
 
 __all__ = [
@@ -43,5 +44,6 @@ __all__ = [
     "event_from_dict",
     "event_to_dict",
     "generate_event_stream",
+    "make_workload",
     "rebind_loops",
 ]

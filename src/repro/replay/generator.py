@@ -12,6 +12,10 @@ reproduces the working copy's final state bit-for-bit.
 touched pools per block, an incremental replay re-evaluates a handful
 of loops while a full recompute re-evaluates them all — the regime the
 throughput benchmark measures.
+
+:func:`make_workload` builds the seeded synthetic market too and returns
+the ``(market, log)`` pair that ``repro-arb replay`` and ``serve``
+generate, the ``service_throughput`` gates run and the service tests use.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import numpy as np
 
 from ..amm.events import BlockEvent, PriceTickEvent
 from ..data.snapshot import MarketSnapshot
+from ..data.synthetic import SyntheticMarketGenerator
 from .log import MarketEventLog
 
-__all__ = ["generate_event_stream"]
+__all__ = ["generate_event_stream", "make_workload"]
 
 
 def generate_event_stream(
@@ -127,3 +132,41 @@ def generate_event_stream(
             log.append(replace(pool.last_event, block=block))
             pool.discard_events_after(0)
     return log
+
+
+def make_workload(
+    n_tokens: int,
+    n_pools: int,
+    n_blocks: int,
+    events_per_block: int,
+    seed: int,
+    *,
+    price_noise: float = 0.02,
+    pools_per_block: int | None = None,
+    price_ticks_per_block: int = 1,
+    stableswap_fraction: float = 0.0,
+) -> tuple[MarketSnapshot, MarketEventLog]:
+    """Seeded synthetic market and an event stream over it.
+
+    The market comes from :class:`~repro.data.synthetic.
+    SyntheticMarketGenerator` (``n_tokens``, ``n_pools``, ``seed``,
+    ``price_noise``, ``stableswap_fraction``); the stream from
+    :func:`generate_event_stream` with the same ``seed``.  Invalid sizes
+    raise ``ValueError``.
+    """
+    market = SyntheticMarketGenerator(
+        n_tokens=n_tokens,
+        n_pools=n_pools,
+        seed=seed,
+        price_noise=price_noise,
+        stableswap_fraction=stableswap_fraction,
+    ).generate()
+    log = generate_event_stream(
+        market,
+        n_blocks=n_blocks,
+        events_per_block=events_per_block,
+        seed=seed,
+        pools_per_block=pools_per_block,
+        price_ticks_per_block=price_ticks_per_block,
+    )
+    return market, log

@@ -18,10 +18,7 @@ event stream:
 * :class:`OpportunityService` — the asyncio pipeline wiring it all
   together, with bounded queues, backpressure or block-shedding, and a
   :class:`ServiceMetrics` registry (events/sec, queue depths,
-  per-stage p50/p99 latency);
-* :mod:`~repro.service.loadgen` — the measurement harness behind
-  ``repro-arb loadgen`` and the ``service_throughput`` section of
-  ``benchmarks/gates.py``.
+  per-stage p50/p99 latency).
 
 On a quiesced stream the book is bit-identical to batch detection on
 the final market state, for any shard count and either backend.
@@ -36,7 +33,6 @@ from .book import (
     opportunity_sort_key,
     rank_opportunities,
 )
-from .loadgen import LoadReport, make_workload, run_load
 from .metrics import LatencyStat, ServiceMetrics
 from .pipeline import OpportunityService, ServiceReport, batch_detect_ranking
 from .sharding import ShardPlan
@@ -49,7 +45,6 @@ __all__ = [
     "BookSnapshot",
     "BookSubscription",
     "LatencyStat",
-    "LoadReport",
     "Opportunity",
     "OpportunityBook",
     "OpportunityService",
@@ -62,10 +57,8 @@ __all__ = [
     "batch_detect_ranking",
     "jsonl_source",
     "log_source",
-    "make_workload",
     "opportunity_sort_key",
     "paced",
     "rank_opportunities",
-    "run_load",
     "simulation_source",
 ]

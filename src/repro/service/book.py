@@ -95,7 +95,7 @@ class BookSnapshot:
     entries: tuple[Opportunity, ...]
 
     def top(self, k: int) -> tuple[Opportunity, ...]:
-        return self.entries[:k]
+        return self.entries[:k] if k > 0 else ()
 
 
 class BookSubscription:

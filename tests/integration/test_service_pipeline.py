@@ -22,14 +22,12 @@ from repro.core.errors import (
     InvalidReserveError,
     UnknownPoolError,
 )
-from repro.replay import MarketEventLog, generate_event_stream
+from repro.replay import MarketEventLog, generate_event_stream, make_workload
 from repro.service import (
     OpportunityService,
     batch_detect_ranking as batch_book,
     log_source,
-    make_workload,
     opportunity_sort_key,
-    run_load,
     simulation_source,
 )
 from repro.simulation import SimulationEngine
@@ -601,20 +599,6 @@ class TestReportShape:
             assert latencies[stage]["count"] > 0
             assert latencies[stage]["p99_ms"] >= latencies[stage]["p50_ms"] >= 0
         assert sum(data["loops_per_shard"]) == service.total_loops
-
-    def test_run_load_flattens_to_csv_row(self, tmp_path, workload):
-        from repro.service.loadgen import save_rows_csv
-
-        market, log = workload
-        report = run_load(market, log, n_shards=2, rate=0.0)
-        row = report.to_row()
-        assert row["events_per_s"] > 0
-        assert row["n_shards"] == 2
-        target = tmp_path / "load.csv"
-        save_rows_csv([report], target)
-        header, line = target.read_text().splitlines()
-        assert header.startswith("n_pools,")
-        assert line.split(",")[0] == str(row["n_pools"])
 
 
 class TestBoundPruning:

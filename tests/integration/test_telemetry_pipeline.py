@@ -14,8 +14,8 @@ import logging
 
 import pytest
 
-from repro.replay import ReplayDriver, generate_event_stream
-from repro.service import OpportunityService, log_source, make_workload
+from repro.replay import ReplayDriver, generate_event_stream, make_workload
+from repro.service import OpportunityService, log_source
 from repro.telemetry import trace
 from repro.telemetry.export import chrome_trace_events, prometheus_text
 from repro.telemetry.metrics import MetricRegistry

@@ -18,7 +18,7 @@ class TestParser:
             "section5", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
             "fig7", "fig8", "fig9", "fig10", "runtime", "calibrate", "detect",
             "harvest", "discrepancy", "efficiency", "sweep", "replay",
-            "serve", "loadgen",
+            "serve",
         }
         assert expected <= set(sub.choices)
 
@@ -98,9 +98,15 @@ class TestCommands:
         with pytest.raises(SystemExit, match="not in the"):
             main(["sweep", "--token", "Q"])
 
-    def test_sweep_rejects_bad_jobs(self):
-        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
-            main(["sweep", "--jobs", "0"])
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--shards", "0"], "--shards must be >= 1, got 0"),
+        (["sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["serve", "--top", "0"], "--top must be >= 1, got 0"),
+        (["detect", "--top", "-3"], "--top must be >= 1, got -3"),
+    ], ids=["serve-shards", "sweep-jobs", "serve-top", "detect-top"])
+    def test_rejects_count_below_one(self, argv, message):
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
 
     def test_detect_scalar_matches_kernel_path(self, capsys, tmp_path):
         kernel = tmp_path / "kernel.csv"
@@ -196,14 +202,46 @@ class TestCommands:
         ]) == 0
         assert "incremental replay" in capsys.readouterr().out
 
-    def test_replay_events_requires_snapshot(self):
+    @pytest.mark.parametrize("command", ["replay", "serve"])
+    def test_events_requires_snapshot(self, command):
         with pytest.raises(SystemExit, match="together"):
-            main(["replay", "--events", "stream.jsonl"])
+            main([command, "--events", "stream.jsonl"])
 
-    def test_replay_rejects_synthetic_flags_with_events(self):
-        with pytest.raises(SystemExit, match="--blocks"):
-            main(["replay", "--events", "s.jsonl", "--snapshot", "m.json",
-                  "--blocks", "5"])
+    @pytest.mark.parametrize("command", ["replay", "serve"])
+    def test_rejects_synthetic_flags_with_events(self, command):
+        with pytest.raises(SystemExit, match="--seed, --blocks only shape"):
+            main([command, "--events", "s.jsonl", "--snapshot", "m.json",
+                  "--blocks", "5", "--seed", "3"])
+
+    @pytest.mark.parametrize("command, args, message", [
+        pytest.param(command, args, message, id=f"{command}-{name}")
+        for command in ("replay", "serve")
+        for name, args, message in (
+            ("tokens", ["--tokens", "2"], "need >= 3 tokens, got 2"),
+            ("pools", ["--pools", "0"], "0 pools cannot connect 12 tokens"),
+            ("stableswap", ["--stableswap-fraction", "1.5"],
+             r"stableswap_fraction must be in \[0, 1\], got 1.5"),
+            ("events-per-block", ["--events-per-block", "-1"],
+             "events_per_block must be >= 0, got -1"),
+            ("blocks", ["--blocks", "-2"], "n_blocks must be >= 0, got -2"),
+            ("length", ["--length", "2"], "need length >= 3, got 2"),
+            ("missing-snapshot",
+             ["--events", "{dir}/bad.jsonl", "--snapshot", "{dir}/none.json"],
+             "No such file or directory"),
+            ("malformed-events",
+             ["--events", "{dir}/bad.jsonl", "--snapshot", "{dir}/market.json"],
+             "malformed event record"),
+        )
+    ])
+    def test_bad_stream_input_exits_with_one_line(
+        self, tmp_path, command, args, message
+    ):
+        from repro.replay import make_workload
+
+        (tmp_path / "bad.jsonl").write_text("{}\n")
+        make_workload(4, 6, 0, 0, seed=1)[0].save(tmp_path / "market.json")
+        with pytest.raises(SystemExit, match=message):
+            main([command] + [arg.format(dir=tmp_path) for arg in args])
 
     def test_replay_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit, match="unknown strategy"):
@@ -270,27 +308,6 @@ class TestCommands:
         with pytest.raises(SystemExit, match="no hop constraint for stableswap"):
             main(["serve", "--blocks", "3", "--pools", "15", "--tokens", "8",
                   "--strategy", "convex", "--stableswap-fraction", "0.3"])
-
-    def test_serve_rejects_bad_shards(self):
-        with pytest.raises(SystemExit, match="--shards"):
-            main(["serve", "--shards", "0"])
-
-    def test_loadgen_rate_ladder_and_csv(self, capsys, tmp_path):
-        csv_path = tmp_path / "load.csv"
-        assert main([
-            "loadgen", "--pools", "15", "--tokens", "8", "--blocks", "3",
-            "--events-per-block", "3", "--rates", "0,5000",
-            "--csv", str(csv_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "achieved ev/s" in out
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 3  # header + one row per rate
-        assert lines[0].startswith("n_pools,")
-
-    def test_loadgen_rejects_bad_rates(self):
-        with pytest.raises(SystemExit, match="--rates"):
-            main(["loadgen", "--rates", "fast"])
 
     def test_fig2_csv(self, capsys, tmp_path, monkeypatch):
         # shrink the grid for speed by monkeypatching the default grid

@@ -80,6 +80,10 @@ class TestBook:
         assert [e.loop_id for e in top] == ["b", "e", "a"]
         assert [e.loop_id for e in book.top(2)] == ["b", "e"]
         assert book.top(0) == []
+        snapshot = book.snapshot()
+        assert [e.loop_id for e in snapshot.top(2)] == ["b", "e"]
+        assert snapshot.top(0) == ()
+        assert snapshot.top(-1) == ()
 
     def test_top_survives_stale_heap_entries(self):
         book = OpportunityBook()

@@ -9,13 +9,17 @@ import pytest
 from repro.amm.events import PriceTickEvent, SwapEvent
 from repro.core import Token
 from repro.market import MarketArrays, PoolHandle
-from repro.replay import apply_block_events, generate_event_stream, rebind_loops
+from repro.replay import (
+    apply_block_events,
+    generate_event_stream,
+    make_workload,
+    rebind_loops,
+)
 from repro.service import (
     ShardPlan,
     ShardWorker,
     jsonl_source,
     log_source,
-    make_workload,
     paced,
 )
 from repro.service.worker import BlockWork
