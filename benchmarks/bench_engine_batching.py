@@ -1,21 +1,17 @@
 """Bench + check the batched evaluation engine against the seed path.
 
-Three timings on the acceptance workload — a Fig. 2-style full-grid
+Two timings on the acceptance workload — a Fig. 2-style full-grid
 sweep (101 price points × 4 strategies: three traditional anchors +
 MaxMax) over the §V loop:
 
 * ``scalar``   — the seed code path: one ``strategy.evaluate`` per
   (strategy, point), no cache, no vectorization;
 * ``batched``  — ``EvaluationEngine`` with the vectorized numpy grid
-  kernels and the shared rotation cache (the default everywhere now);
-* ``parallel`` — the same grid forced down the point-by-point walk
-  (``vectorize=False``) but fanned over two worker processes
-  (``jobs=2``: contiguous chunks, reassembled in grid order).
+  kernels and the shared rotation cache (the default everywhere now).
 
 Checks: batched matches scalar within 1e-9 relative tolerance at every
 point (in practice they are bit-identical) and is >= 3x faster — the
-acceptance floor; the parallel walk agrees exactly with the serial
-order.
+acceptance floor.
 
 Also micro-benchmarks ``rotation_state_key``: the static prefix (pool
 ids, symbols, fees) is precomputed per loop, so a cache lookup only
@@ -144,22 +140,3 @@ def test_rotation_state_key_static_prefix_speedup():
     # the new key does strictly less work per call (reserve gather
     # only); the 5% slack absorbs timer noise
     assert after_s <= before_s * 1.05
-
-
-def test_parallel_executor_matches_serial():
-    loop, strategies = _strategies()
-    base_prices = section5_prices()
-    serial = _engine_sweep(loop, strategies, base_prices)
-
-    engine = EvaluationEngine(vectorize=False)
-    t0 = time.perf_counter()
-    parallel = engine.sweep_results(
-        strategies, loop, base_prices, TOKEN_X, GRID, jobs=2
-    )
-    parallel_s = time.perf_counter() - t0
-    print(f"\nparallel scalar sweep: {parallel_s * 1e3:.1f} ms on 2 workers")
-
-    for label in strategies:
-        assert [r.monetized_profit for r in parallel[label]] == [
-            r.monetized_profit for r in serial[label]
-        ]

@@ -288,7 +288,7 @@ def run_quote(family: Family, gates: Gates, opts, *, cases, min_speedup):
         )
         row, scalar, batch = _race(
             opts, case, registry, loops, "scalar",
-            partial(strategy.evaluate_many, loops, prices),
+            lambda: [strategy.evaluate(loop, prices) for loop in loops],
             partial(evaluator.evaluate_many, strategy, prices),
             compile_s=compile_s,
         )

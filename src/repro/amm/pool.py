@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..core.errors import InvalidReserveError, InvariantViolationError, UnknownTokenError
 from ..core.types import Token
@@ -370,7 +370,3 @@ class Pool:
             prices[self._token0] * self._reserve0
             + prices[self._token1] * self._reserve1
         )
-
-    def iter_tokens(self) -> Iterator[Token]:
-        yield self._token0
-        yield self._token1

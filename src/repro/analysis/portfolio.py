@@ -129,12 +129,11 @@ def greedy_harvest(
 
     Both per-round steps go through the evaluation engine: candidate
     loops are enumerated once (topology never changes mid-harvest) and
-    only re-filtered on live reserves.  Batchable strategies re-score
-    each round through the engine's memoized batch evaluator (hop
-    matrices compiled once per topology, reserves refreshed per call);
-    strategies on the scalar path reuse cached rotation quotes for
-    every loop whose pools the previous round's execution did not
-    touch.
+    only re-filtered on live reserves.  Each round scores the
+    profitable loops through one batch evaluator over them (kernels
+    for batchable strategies); strategies on the scalar path reuse
+    cached rotation quotes for every loop whose pools the previous
+    round's execution did not touch.
     """
     prices = prices if prices is not None else snapshot.prices
     engine = engine if engine is not None else EvaluationEngine()

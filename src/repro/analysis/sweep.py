@@ -74,7 +74,6 @@ def price_sweep(
     grid,
     strategies: dict[str, Strategy],
     engine: EvaluationEngine | None = None,
-    jobs: int = 1,
 ) -> SweepSeries:
     """Evaluate ``strategies`` on ``loop`` as ``token``'s price sweeps.
 
@@ -86,14 +85,12 @@ def price_sweep(
     The whole sweep is one
     :meth:`~repro.engine.EvaluationEngine.sweep_results` call: the
     fixed-start strategies take the price-grid kernels on every pool
-    family, everything else walks the grid point by point (over
-    ``jobs`` worker processes when ``jobs > 1``).  Pass ``engine`` to
-    share its cache across sweeps; the default builds a fresh one.
+    family, everything else walks the grid point by point.  Pass
+    ``engine`` to share its cache across sweeps; the default builds a
+    fresh one.
     """
     engine = engine if engine is not None else EvaluationEngine()
-    per_label = engine.sweep_results(
-        strategies, loop, base_prices, token, grid, jobs=jobs
-    )
+    per_label = engine.sweep_results(strategies, loop, base_prices, token, grid)
     points = []
     for index, price in enumerate(grid):
         results = {label: per_label[label][index] for label in strategies}

@@ -17,8 +17,8 @@ Examples::
 (Equivalently ``python -m repro ...``.)
 
 Every evaluation-heavy command routes through the batched
-:class:`~repro.engine.EvaluationEngine`; ``sweep --jobs N`` fans the
-strategies without a grid kernel (convex) over N worker processes.
+:class:`~repro.engine.EvaluationEngine`, or, for ``detect``, through one
+:class:`~repro.market.BatchEvaluator` over the snapshot's loops.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import sys
 from . import analysis
 from .analysis import report
 from .data.synthetic import paper_market
-from .engine import EvaluationEngine
 
 __all__ = ["main", "build_parser", "package_version"]
 
@@ -147,18 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "constant-product, byte-identical to older builds)")
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--top", type=int, default=10)
-    p.add_argument("--scalar", action="store_true",
-                   help="disable the cross-loop batch kernels (closed-form, "
-                   "iterative, and weighted) and score every loop on the "
-                   "scalar path (correctness oracle; identical numbers, "
-                   "slower)")
     p.add_argument("--csv", help="write the full ranked list to a CSV file "
                    "(deterministic: profit desc, canonical loop id asc)")
     p.add_argument("--no-prune", action="store_true",
                    help="quote every loop exactly instead of pruning the "
                    "ranking with profit upper bounds (identical top-K "
-                   "either way; pruning is auto-disabled by --scalar "
-                   "and --csv)")
+                   "either way; pruning is auto-disabled by --csv and "
+                   "--exact)")
     p.add_argument("--exact", action="store_true",
                    help="audit every quote in contract integer arithmetic "
                    "(floor division, 18-decimal base units): adds the "
@@ -174,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--token", default="X", help="loop token whose price sweeps")
     p.add_argument("--max", type=float, default=20.0, dest="max_price")
     p.add_argument("--step", type=float, default=0.2)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for strategies without a grid "
-                   "kernel, e.g. convex")
     p.add_argument("--csv", help="write the series to a CSV file")
 
     p = sub.add_parser("harvest", help="sequential greedy harvest of a snapshot")
@@ -393,63 +384,46 @@ def _cmd_detect(args) -> None:
     snapshot = paper_market(
         seed=args.seed, stableswap_fraction=args.stableswap_fraction
     )
+    from .market import BatchEvaluator, MarketArrays
     from .service.book import opportunity_sort_key
     from .strategies.maxmax import MaxMaxStrategy
 
-    _snapshot, loops = analysis.profitable_loops(snapshot, args.length)
-    if args.exact and args.scalar:
-        raise SystemExit(
-            "--exact needs the batch evaluator; it cannot combine with "
-            "--scalar"
-        )
+    try:
+        _snapshot, loops = analysis.profitable_loops(snapshot, args.length)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    evaluator = BatchEvaluator(
+        loops,
+        arrays=MarketArrays.from_registry(snapshot.registry),
+        exact=args.exact,
+    )
     # the bound-ordered pruned ranking only makes sense for the plain
-    # top-K table: --csv needs the full exact list, --exact audits every
-    # loop, and --scalar picks the explicit scalar path
-    prune = not (
-        args.no_prune or args.scalar or args.csv or args.exact
-    ) and bool(loops)
+    # top-K table: --csv needs the full exact list and --exact audits
+    # every loop
+    prune = not (args.no_prune or args.csv or args.exact) and bool(loops)
     pruned = 0
     exact_details: dict[int, dict | None] = {}
     if prune:
-        from .market import BatchEvaluator, MarketArrays
-
-        evaluator = BatchEvaluator(
-            loops, arrays=MarketArrays.from_registry(snapshot.registry)
-        )
         topk, pruned = evaluator.evaluate_top_k(
             MaxMaxStrategy(), snapshot.prices, k=args.top
         )
-        scored = sorted(
-            ((profit, loops[position]) for profit, position in topk),
-            key=lambda pair: opportunity_sort_key(pair[0], pair[1].canonical_id),
-        )
-    elif args.exact:
-        from .market import BatchEvaluator, MarketArrays
-
-        evaluator = BatchEvaluator(
-            loops,
-            arrays=MarketArrays.from_registry(snapshot.registry),
-            exact=True,
-        )
-        results = evaluator.evaluate_many(MaxMaxStrategy(), snapshot.prices)
-        exact_details = {
-            id(loop): result.details.get("exact")
-            for result, loop in zip(results, loops)
-        }
-        scored = sorted(
-            ((result.monetized_profit, loop) for result, loop in zip(results, loops)),
-            key=lambda pair: opportunity_sort_key(pair[0], pair[1].canonical_id),
-        )
+        scored = [(profit, loops[position]) for profit, position in topk]
     else:
-        engine = EvaluationEngine(vectorize=not args.scalar)
-        results = engine.evaluate_strategy(MaxMaxStrategy(), loops, snapshot.prices)
-        # profit descending, canonical loop id ascending on ties: the same
-        # total order the opportunity book uses, so output (and any CSV
-        # golden file) is fully deterministic across runs
-        scored = sorted(
-            ((result.monetized_profit, loop) for result, loop in zip(results, loops)),
-            key=lambda pair: opportunity_sort_key(pair[0], pair[1].canonical_id),
-        )
+        results = evaluator.evaluate_many(MaxMaxStrategy(), snapshot.prices)
+        scored = [
+            (result.monetized_profit, loop) for result, loop in zip(results, loops)
+        ]
+        if args.exact:
+            exact_details = {
+                id(loop): result.details.get("exact")
+                for result, loop in zip(results, loops)
+            }
+    # profit descending, canonical loop id ascending on ties: the same
+    # total order the opportunity book uses, so output (and any CSV
+    # golden file) is fully deterministic across runs
+    scored.sort(
+        key=lambda pair: opportunity_sort_key(pair[0], pair[1].canonical_id)
+    )
     print(f"{len(loops)} profitable length-{args.length} loops; top {args.top}:")
     if args.exact:
         # integer base-unit profit next to the float estimate ("-" for
@@ -518,16 +492,12 @@ def _cmd_sweep(args) -> None:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     if not names:
         raise SystemExit("--strategies needs at least one strategy name")
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     try:
         strategies = {name: make_strategy(name) for name in names}
         grid = analysis.paper_px_grid(max_price=args.max_price, step=args.step)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    series = analysis.price_sweep(
-        loop, section5_prices(), token, grid, strategies, jobs=args.jobs
-    )
+    series = analysis.price_sweep(loop, section5_prices(), token, grid, strategies)
     title = f"engine sweep of P{args.token} ({', '.join(strategies)})"
     print(report.render_sweep(series, title=title))
     if args.csv:
@@ -754,6 +724,25 @@ def _cmd_serve(args) -> None:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.top < 1:
         raise SystemExit(f"--top must be >= 1, got {args.top}")
+    if not args.rate >= 0:  # a NaN rate fails this too
+        raise SystemExit(f"--rate must be >= 0, got {args.rate:g}")
+    if args.simulate is not None:
+        if args.simulate < 0:
+            raise SystemExit(f"--simulate must be >= 0, got {args.simulate}")
+        given = [
+            flag
+            for flag, dest in (
+                ("--blocks", "blocks"), ("--events-per-block", "events_per_block")
+            )
+            if getattr(args, dest) is not None
+        ]
+        if given:
+            raise SystemExit(
+                f"{', '.join(given)} only shape generated streams; "
+                "they cannot apply to --simulate"
+            )
+        # the simulation makes its own blocks: build the market, no log
+        args.blocks = args.events_per_block = 0
 
     market, log = _stream(args)
     if args.simulate is not None:

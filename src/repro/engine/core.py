@@ -3,25 +3,26 @@
 
 :class:`EvaluationEngine` is the single entry point every consumer —
 price sweeps, scatter figures, harvesting, the simulation engine, the
-CLI — routes through.  It composes three independent accelerations:
+CLI — routes through.  Each of its two jobs has one route:
 
-* a reserve-keyed :class:`~repro.engine.cache.PoolStateCache`, so
-  repeated evaluations of unchanged loops (across strategies, rounds,
-  or price points) pay for the optimization once;
-* the cross-loop batch kernels (:mod:`repro.market`): loops-at-one-
-  price-map calls compile *every* loop — constant-product, weighted
-  and stableswap alike, on any of the three fixed-start solvers —
-  into hop-index matrices over columnar reserves and quote them per
-  rotation in one vectorized pass (closed form for CPMM groups,
-  batched chain-rule/iterative solvers otherwise), with scalar
-  fallback only for non-batchable strategies and tiny slices;
-* the price-grid kernels (:mod:`repro.engine.vectorized`): one loop
-  swept across a price grid quotes each rotation once and monetizes
-  the whole grid in one array pass, on every pool family.  Strategies
-  without a kernel (convex, subclasses) walk the grid point by point,
-  optionally fanned over worker processes (``jobs=``).
+* loops at one price map (:meth:`~EvaluationEngine.evaluate_loops`)
+  score through one :class:`~repro.market.BatchEvaluator` shared by
+  every strategy: the cross-loop batch kernels (:mod:`repro.market`)
+  compile *every* loop — constant-product, weighted and stableswap
+  alike, on any of the three fixed-start solvers — into hop-index
+  matrices over columnar reserves and quote them per rotation in one
+  vectorized pass.  The evaluator's scalar fallback takes
+  non-batchable strategies and groups below its ``min_batch``;
+* one loop across a price grid (:meth:`~EvaluationEngine.sweep_results`):
+  the price-grid kernels (:mod:`repro.engine.vectorized`) quote each
+  rotation once and monetize the whole grid in one array pass, on
+  every pool family.  Strategies without a kernel (convex,
+  subclasses) walk the grid point by point in process.
 
-Both kernel routes serve exactly the strategies
+Every scalar evaluation goes through the engine's reserve-keyed
+:class:`~repro.engine.cache.PoolStateCache`, so repeated evaluations
+of unchanged loops (across strategies or price points) pay for the
+optimization once.  Both kernel routes serve exactly the strategies
 :func:`~repro.market.batch_kind` admits.  Results are always identical
 to the scalar path — the engine changes *when* work happens, never
 *what* is computed.
@@ -35,11 +36,7 @@ re-filter cheaply.
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from ..amm.pool import Pool
@@ -52,16 +49,6 @@ from ..telemetry import trace
 from .cache import PoolStateCache
 
 __all__ = ["EvaluationEngine", "LoopUniverse"]
-
-#: Loop batches below this size skip building a batch evaluator: the
-#: compile + numpy dispatch overhead only pays for itself across tens
-#: of loops.
-_MIN_BATCH_LOOPS = 16
-
-#: A parallel grid walk splits its points into about this many
-#: contiguous chunks per worker, so a worker that drew cheap points
-#: picks up more instead of idling behind a slow one.
-_CHUNKS_PER_JOB = 4
 
 
 class LoopUniverse:
@@ -109,24 +96,6 @@ def _universe_key(pools: Sequence[Pool], length: int) -> tuple:
     )
 
 
-def _walk_points(
-    strategies: Mapping[str, Strategy],
-    loop: ArbitrageLoop,
-    price_maps: Sequence[PriceMap],
-    cache: PoolStateCache | None = None,
-) -> dict[str, list[StrategyResult]]:
-    """Each strategy at each price map, point by point.  Process-pool
-    workers call it without ``cache`` and quote through a chunk-local
-    one."""
-    cache = cache if cache is not None else PoolStateCache()
-    return {
-        label: [
-            strategy.evaluate_cached(loop, prices, cache) for prices in price_maps
-        ]
-        for label, strategy in strategies.items()
-    }
-
-
 class EvaluationEngine:
     """Batched strategy evaluation with a shared rotation cache, the
     cross-loop batch kernels and the price-grid kernels.
@@ -136,38 +105,19 @@ class EvaluationEngine:
     cache:
         A shared :class:`PoolStateCache`; pass ``None`` to get a fresh
         one, or an existing cache to share quotes across engines.
-    vectorize:
-        When True (default) loop batches and price sweeps take the
-        kernels for every strategy :func:`~repro.market.batch_kind`
-        admits; when False everything is evaluated scalar through the
-        cache — useful for benchmarking and as a correctness oracle.
     """
 
-    def __init__(
-        self,
-        cache: PoolStateCache | None = None,
-        vectorize: bool = True,
-    ):
+    def __init__(self, cache: PoolStateCache | None = None):
         self.cache = cache if cache is not None else PoolStateCache()
-        self.vectorize = vectorize
         # Universes hold strong references to every candidate loop (and
         # hence every pool) of a topology, so the memo is bounded: a
         # long-lived engine fed many distinct snapshots evicts the
         # least recently used topology instead of pinning them all.
         self._universes: OrderedDict[tuple, LoopUniverse] = OrderedDict()
         self._max_universes = 8
-        # Batch evaluators memoized like universes: compiled hop
-        # matrices are reserve-independent, so iterative consumers
-        # (harvest rounds re-scoring a universe's filtered sub-lists)
-        # pay compilation once and only refresh the reserve columns.
-        self._batch_evaluators: OrderedDict[int, "object"] = OrderedDict()
-        self._max_batch_evaluators = 4
-        self._batch_evaluator_counter = 0
 
     def __repr__(self) -> str:
-        return (
-            f"EvaluationEngine(vectorize={self.vectorize}, cache={self.cache!r})"
-        )
+        return f"EvaluationEngine(cache={self.cache!r})"
 
     # ------------------------------------------------------------------
     # evaluation entry points
@@ -199,62 +149,25 @@ class EvaluationEngine:
     ) -> dict[str, list[StrategyResult]]:
         """Several labeled strategies over many loops at one price map.
 
-        Loops under a fixed-start strategy (any solver method, weighted
-        and stableswap hops included) take the cross-loop batch
-        kernels; everything else — and everything when
-        ``vectorize=False`` — evaluates scalar, with identical numbers
-        either way.  The batch evaluator (arrays + compiled hop
-        matrices) is built once and shared across all labels.
+        Every label scores through one
+        :class:`~repro.market.BatchEvaluator` over ``loops`` (arrays
+        and compiled hop matrices built once).  Loops under a
+        fixed-start strategy (any solver method, weighted and
+        stableswap hops included) take the batch kernels; the rest —
+        other strategies, and groups below the evaluator's
+        ``min_batch`` — evaluate scalar through the shared cache, with
+        identical numbers either way.
         """
+        from ..market import BatchEvaluator
+
         with trace.span(
             "engine.evaluate_loops", loops=len(loops), strategies=len(strategies)
         ):
-            picked = self._batch_evaluator(strategies.values(), loops)
-            if picked is not None:
-                evaluator, indices = picked
-                return {
-                    label: evaluator.evaluate_many(
-                        strategy, prices, indices=indices, cache=self.cache
-                    )
-                    for label, strategy in strategies.items()
-                }
+            evaluator = BatchEvaluator(loops)
             return {
-                label: strategy.evaluate_many(loops, prices, cache=self.cache)
+                label: evaluator.evaluate_many(strategy, prices, cache=self.cache)
                 for label, strategy in strategies.items()
             }
-
-    def _batch_evaluator(self, strategies, loops):
-        """``(evaluator, indices)`` routing ``loops`` through the batch
-        kernel, or ``None`` when the batch path cannot win
-        (vectorization off, batch too small, or no batchable strategy
-        in the mix).
-
-        A memoized evaluator whose compiled loop set covers every
-        requested loop (by object identity — e.g. a universe's filtered
-        sub-list on a later harvest round) is reused after a reserve
-        refresh; otherwise a fresh one is compiled and memoized.
-        ``indices`` maps the request onto the evaluator's positions
-        (``None`` means "all, in order" for a fresh build).
-        """
-        if not self.vectorize or len(loops) < _MIN_BATCH_LOOPS:
-            return None
-        from ..market import BatchEvaluator, batch_kind
-
-        if all(batch_kind(strategy) is None for strategy in strategies):
-            return None
-        for key in reversed(self._batch_evaluators):
-            evaluator = self._batch_evaluators[key]
-            indices = evaluator.positions_for(loops)
-            if indices is not None:
-                self._batch_evaluators.move_to_end(key)
-                evaluator.refresh()
-                return evaluator, indices
-        evaluator = BatchEvaluator(loops)
-        self._batch_evaluator_counter += 1
-        self._batch_evaluators[self._batch_evaluator_counter] = evaluator
-        if len(self._batch_evaluators) > self._max_batch_evaluators:
-            self._batch_evaluators.popitem(last=False)
-        return evaluator, None
 
     def sweep_results(
         self,
@@ -263,75 +176,32 @@ class EvaluationEngine:
         base_prices: PriceMap,
         token: Token,
         grid,
-        jobs: int = 1,
     ) -> dict[str, list[StrategyResult]]:
         """Every strategy across a price grid of one token.
 
         Strategies :func:`~repro.market.batch_kind` admits (the exact
         Traditional, MaxPrice and MaxMax classes) take the price-grid
         kernels on every pool family; the rest — convex, subclasses,
-        unknown solver methods, and everything when
-        ``vectorize=False`` — walk the grid point by point.  ``jobs``
-        worker processes share the walk in contiguous chunks of grid
-        points, reassembled in grid order; only the wall-clock time
-        depends on it.
+        unknown solver methods — walk the grid point by point in
+        process, through the shared cache.
         """
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         from ..market import batch_kind
         from .vectorized import grid_results
 
         out: dict[str, list[StrategyResult]] = {}
-        walked: dict[str, Strategy] = {}
         for label, strategy in strategies.items():
-            kind = batch_kind(strategy) if self.vectorize else None
+            kind = batch_kind(strategy)
             if kind is None:
-                walked[label] = strategy
+                out[label] = [
+                    strategy.evaluate_cached(
+                        loop, base_prices.with_price(token, float(price)), self.cache
+                    )
+                    for price in grid
+                ]
             else:
                 out[label] = grid_results(
                     kind, strategy, loop, base_prices, token, grid, self.cache
                 )
-        if walked:
-            price_maps = [
-                base_prices.with_price(token, float(price)) for price in grid
-            ]
-            out.update(self._walk(walked, loop, price_maps, jobs))
-        # preserve the caller's label order
-        return {label: out[label] for label in strategies}
-
-    def _walk(
-        self,
-        strategies: Mapping[str, Strategy],
-        loop: ArbitrageLoop,
-        price_maps: Sequence[PriceMap],
-        jobs: int,
-    ) -> dict[str, list[StrategyResult]]:
-        """Each strategy at each price map — in process through the
-        shared cache, or over a process pool when ``jobs > 1``.
-
-        The pool's ``map`` yields chunk results in submission order
-        whatever order the workers finish in, so the concatenation is
-        in grid order.  Workers start by ``spawn`` (numpy's BLAS threads
-        make forking this process unsafe) from a fresh import and get
-        everything they need in the chunk arguments; each chunk quotes
-        through its own :class:`PoolStateCache`.
-        """
-        size = max(1, math.ceil(len(price_maps) / (jobs * _CHUNKS_PER_JOB)))
-        chunks = [
-            price_maps[i : i + size] for i in range(0, len(price_maps), size)
-        ]
-        workers = min(jobs, len(chunks))
-        if workers <= 1:
-            return _walk_points(strategies, loop, price_maps, self.cache)
-        out: dict[str, list[StrategyResult]] = {label: [] for label in strategies}
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            for part in pool.map(
-                _walk_points, repeat(strategies), repeat(loop), chunks
-            ):
-                for label, results in part.items():
-                    out[label].extend(results)
         return out
 
     # ------------------------------------------------------------------

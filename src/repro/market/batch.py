@@ -3,14 +3,14 @@
 :class:`BatchEvaluator` is the piece the engine and the service's
 shard workers (which incremental replay also runs) share: a fixed loop
 list compiled once against a :class:`~repro.market.arrays.MarketArrays`,
-plus ``evaluate_many`` — the batch twin of
-:meth:`repro.strategies.base.Strategy.evaluate_many` that quotes every
-requested loop in one kernel pass per rotation and returns
+plus ``evaluate_many``, which quotes every requested loop in one kernel
+pass per rotation and returns
 :class:`~repro.strategies.base.StrategyResult` objects bit-identical
-to the scalar path.  Every group pass is two steps: quote the
-rotations the strategy monetizes (``quote_rotations`` stops there and
-hands the price-independent half to the service's shards, which keep
-it), then monetize and select through the shared
+to :meth:`~repro.strategies.base.Strategy.evaluate` loop by loop.
+Every group pass is two steps: quote the rotations the strategy
+monetizes (``quote_rotations`` stops there and hands the
+price-independent half to the service's shards, which keep it), then
+monetize and select through the shared
 :func:`~repro.market.kernel.monetize_rotations`.  ``evaluate_many``
 quotes every loop it is asked for; pruning belongs to the callers —
 ``monetized_bounds`` gives each loop a sound profit upper bound, and
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -193,7 +193,7 @@ class BatchEvaluator:
         Columnar reserves the compiled hop matrices address.  When
         omitted, arrays are built over exactly the pools the loops
         cross.  The caller owns keeping them fresh (see
-        :meth:`pull`).
+        :meth:`MarketArrays.pull`).
     min_batch:
         Smallest per-group slice worth a kernel pass.
     exact:
@@ -220,16 +220,12 @@ class BatchEvaluator:
         exact_scale: int = WAD,
     ):
         self.loops: tuple[ArbitrageLoop, ...] = tuple(loops)
-        self._source_pools: list | None = None
         if arrays is None:
             pools: dict[str, object] = {}
             for loop in self.loops:
                 for pool in loop.pools:
                     pools.setdefault(pool.pool_id, pool)
             arrays = MarketArrays(pools.values())
-            # kept row-aligned with the arrays so `refresh` can re-read
-            # the live pools without a registry
-            self._source_pools = list(pools.values())
         self.arrays = arrays
         self.min_batch = min_batch
         self.exact = exact
@@ -242,11 +238,6 @@ class BatchEvaluator:
         for gi, group in enumerate(self.groups):
             for row, position in enumerate(group.positions):
                 self._where[int(position)] = (gi, row)
-        # self.loops holds strong references, so an id match below can
-        # only ever mean "the same live object"
-        self._position_by_id: dict[int, int] = {
-            id(loop): position for position, loop in enumerate(self.loops)
-        }
 
     def __repr__(self) -> str:
         compiled = sum(len(g) for g in self.groups)
@@ -256,50 +247,6 @@ class BatchEvaluator:
             f"({weighted} weighted) in {len(self.groups)} group(s), "
             f"{len(self.fallback_positions)} scalar-only)"
         )
-
-    @property
-    def compiled_count(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    def pull(
-        self, registry, pool_ids: Iterable[str] | None = None
-    ) -> None:
-        """Refresh the arrays from live pool objects (see
-        :meth:`MarketArrays.pull`)."""
-        self.arrays.pull(registry, pool_ids)
-
-    def refresh(self) -> None:
-        """Re-read every source pool's current reserves into the arrays.
-
-        Only available when the evaluator built its own arrays (it then
-        kept the live pool references row-aligned); the engine's
-        evaluator memo calls this before every reuse, so reserve
-        mutations between calls are always visible.  Callers that
-        supplied their own arrays refresh via :meth:`pull` instead.
-        """
-        if self._source_pools is None:
-            raise RuntimeError(
-                "this evaluator's arrays are caller-owned; refresh them "
-                "with pull(registry, dirty_pool_ids)"
-            )
-        reserve0, reserve1 = self.arrays.reserve0, self.arrays.reserve1
-        for i, pool in enumerate(self._source_pools):
-            reserve0[i] = pool.reserve_of(pool.token0)
-            reserve1[i] = pool.reserve_of(pool.token1)
-
-    def positions_for(self, loops: Sequence[ArbitrageLoop]) -> list[int] | None:
-        """Positions of ``loops`` in this evaluator's loop list, or
-        ``None`` unless *every* one is the same live object compiled
-        here (the engine memo's subset test — a universe's filtered
-        sub-lists hit, anything else rebuilds)."""
-        by_id = self._position_by_id
-        positions = []
-        for loop in loops:
-            position = by_id.get(id(loop))
-            if position is None:
-                return None
-            positions.append(position)
-        return positions
 
     # ------------------------------------------------------------------
     # evaluation

@@ -33,7 +33,7 @@ from .book import (
     opportunity_sort_key,
     rank_opportunities,
 )
-from .metrics import LatencyStat, ServiceMetrics
+from .metrics import ServiceMetrics
 from .pipeline import OpportunityService, ServiceReport, batch_detect_ranking
 from .sharding import ShardPlan
 from .sources import jsonl_source, log_source, paced, simulation_source
@@ -44,7 +44,6 @@ __all__ = [
     "BookDelta",
     "BookSnapshot",
     "BookSubscription",
-    "LatencyStat",
     "Opportunity",
     "OpportunityBook",
     "OpportunityService",

@@ -7,33 +7,18 @@ same instruments the Prometheus endpoint scrapes — while keeping the
 original accessors (``inc`` / ``set_gauge`` / ``latency`` /
 ``to_dict``) every call site and report already uses.
 
-:class:`LatencyStat` is the service-facing name for the registry's
-reservoir-sampled :class:`~repro.telemetry.Histogram`: exact count /
-sum / min / max over every observation, a bounded uniform reservoir
-(default 4096 samples) for nearest-rank quantiles, so week-long
-``serve`` runs hold constant memory instead of one float per block.
+Latencies are the registry's reservoir-sampled
+:class:`~repro.telemetry.Histogram`: exact count / sum / min / max
+over every observation, a bounded uniform reservoir (default 4096
+samples) for nearest-rank quantiles, so week-long ``serve`` runs hold
+constant memory instead of one float per block.
 """
 
 from __future__ import annotations
 
-from ..telemetry.metrics import DEFAULT_RESERVOIR, Histogram, MetricRegistry
+from ..telemetry.metrics import Histogram, MetricRegistry
 
-__all__ = ["LatencyStat", "ServiceMetrics"]
-
-
-class LatencyStat(Histogram):
-    """Streaming latency accumulator with on-demand quantiles.
-
-    A name-only construction shim over the telemetry histogram (the
-    service never labels its latency stats).  Memory is bounded by
-    reservoir sampling: aggregates stay exact for every observation,
-    quantiles come from a uniform ``max_samples``-sized reservoir.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, name: str, max_samples: int = DEFAULT_RESERVOIR):
-        super().__init__(name, max_samples=max_samples)
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:

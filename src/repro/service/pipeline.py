@@ -14,13 +14,13 @@ asyncio pipeline::
   ``"block"`` applies backpressure to the source (lossless — required
   for parity with batch detection); ``"drop"`` sheds whole blocks
   atomically across shards when any target queue is full (lossy but
-  cross-shard consistent — the overload mode the load generator
-  exercises), counting every dropped event.  Ingest is also the only
-  writer of the one column store every shard reads: each non-shed
-  block's routed pool events move ingest's private copy of the pools,
-  and the dirty rows are copied into the store before the block is
-  dispatched — plain in-process :class:`~repro.market.MarketArrays` on
-  the inline backend, a :class:`~repro.market.SharedMarketArrays`
+  cross-shard consistent — ``serve --policy drop``), counting every
+  dropped event.  Ingest is also the only writer of the one column
+  store every shard reads: each non-shed block's routed pool events
+  move ingest's private copy of the pools, and the dirty rows are
+  copied into the store before the block is dispatched — plain
+  in-process :class:`~repro.market.MarketArrays` on the inline
+  backend, a :class:`~repro.market.SharedMarketArrays`
   segment under a single-writer seqlock on the process backend.  A
   price tick that is not finite or is negative stops the run with
   :class:`~repro.core.errors.InvalidPriceError` before its block is

@@ -2,9 +2,9 @@
 
 Every source is an ``AsyncIterator[MarketEvent]``; the pipeline does
 not care whether events come from a prerecorded log, a JSONL file on
-disk, a live :class:`~repro.simulation.SimulationEngine`, or a paced
-load generator.  Sources never mutate market state — they only emit
-the events; the shards apply them.
+disk, or a live :class:`~repro.simulation.SimulationEngine`, paced or
+not.  Sources never mutate market state — they only emit the events;
+the shards apply them.
 
 * :func:`log_source` — replay a :class:`~repro.replay.MarketEventLog`;
 * :func:`jsonl_source` — stream a saved JSONL log from disk;
@@ -12,7 +12,7 @@ the events; the shards apply them.
   block by block and yields each block's events as they are recorded,
   so the service consumes a market that is being generated under it;
 * :func:`paced` — wrap any source with a target event rate
-  (events/sec), the load generator's throttle.
+  (events/sec), the throttle behind ``serve --rate``.
 """
 
 from __future__ import annotations

@@ -73,18 +73,16 @@ class StrategyResult:
 class Strategy(abc.ABC):
     """Evaluate arbitrage loops under a CEX price map.
 
-    Besides the scalar :meth:`evaluate`, every strategy exposes two
-    cache-aware entry points used by the evaluation engine
-    (:mod:`repro.engine`):
-
-    * :meth:`evaluate_cached` — one loop, with an optional
-      :class:`~repro.engine.cache.PoolStateCache` so repeated
-      evaluations of an unchanged loop reuse the price-independent
-      optimization work;
-    * :meth:`evaluate_many` — a batch of loops at one price map.
+    :meth:`evaluate` is the scalar reference every batch route is
+    tested against.  :meth:`evaluate_cached` is the same evaluation
+    with an optional :class:`~repro.engine.cache.PoolStateCache`, so
+    repeated evaluations of an unchanged loop reuse the
+    price-independent optimization work; the evaluation engine
+    (:mod:`repro.engine`) and the batch evaluator's scalar fallback
+    call it.
 
     The engine's kernels (cross-loop batches, price grids) stand in
-    for these only on the exact fixed-start classes
+    for it only on the exact fixed-start classes
     (:func:`repro.market.batch_kind`); a subclass is always evaluated
     through its own methods.
     """
@@ -109,12 +107,6 @@ class Strategy(abc.ABC):
         strategies whose per-loop work is price-independent override
         it to memoize on pool reserves."""
         return self.evaluate(loop, prices)
-
-    def evaluate_many(
-        self, loops, prices: PriceMap, *, cache=None
-    ) -> list[StrategyResult]:
-        """Evaluate a batch of loops (used by the empirical pipeline)."""
-        return [self.evaluate_cached(loop, prices, cache) for loop in loops]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

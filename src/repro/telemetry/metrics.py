@@ -50,10 +50,9 @@ __all__ = [
 #: pairs with values stringified (Prometheus labels are strings).
 LabelSet = tuple[tuple[str, str], ...]
 
-#: Default reservoir size for histograms (and the service's
-#: :class:`~repro.service.metrics.LatencyStat`): large enough for
-#: stable p99s, small enough that a week-long serve run holds a few
-#: hundred KB of samples total.
+#: Default reservoir size for histograms (the service's latencies
+#: included): large enough for stable p99s, small enough that a
+#: week-long serve run holds a few hundred KB of samples total.
 DEFAULT_RESERVOIR = 4096
 
 

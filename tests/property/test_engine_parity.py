@@ -152,8 +152,10 @@ def test_cached_evaluate_many_matches_scalar(params, prices):
     price_map = PriceMap({X: prices[0], Y: prices[1], Z: prices[2]})
     cache = PoolStateCache()
     for strategy in (MaxMaxStrategy(), MaxPriceStrategy(), TraditionalStrategy()):
-        batched = strategy.evaluate_many(loops, price_map, cache=cache)
-        rerun = strategy.evaluate_many(loops, price_map, cache=cache)  # warm
+        batched = [strategy.evaluate_cached(one, price_map, cache) for one in loops]
+        rerun = [  # warm
+            strategy.evaluate_cached(one, price_map, cache) for one in loops
+        ]
         for one, two, ref_loop in zip(batched, rerun, loops):
             ref = strategy.evaluate(ref_loop, price_map)
             assert_close(one, ref)
@@ -168,5 +170,5 @@ def test_cache_is_sound_on_weighted_loops(params, prices, w):
     price_map = PriceMap({X: prices[0], Y: prices[1], Z: prices[2]})
     cache = PoolStateCache()
     strategy = MaxMaxStrategy()
-    cached = strategy.evaluate_many([loop], price_map, cache=cache)[0]
+    cached = strategy.evaluate_cached(loop, price_map, cache)
     assert_close(cached, strategy.evaluate(loop, price_map))

@@ -94,27 +94,87 @@ class TestCommands:
         assert target.exists()
         assert "price" in target.read_text().splitlines()[0]
 
+    def test_sweep_walks_convex_in_process(self, capsys, tmp_path):
+        """``sweep`` with a strategy that has no grid kernel walks it
+        point by point: each convex cell equals a direct ``evaluate``."""
+        import csv
+
+        from repro import analysis
+        from repro.data.example import TOKEN_X, section5_loop, section5_prices
+        from repro.strategies import make_strategy
+
+        target = tmp_path / "sweep.csv"
+        assert main(["sweep", "--strategies", "maxmax,convex", "--step", "4",
+                     "--csv", str(target)]) == 0
+        capsys.readouterr()
+        with open(target, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["price_X", "maxmax", "convex"]
+        grid = analysis.paper_px_grid(step=4)
+        assert [float(row[0]) for row in rows[1:]] == [float(p) for p in grid]
+        loop, prices = section5_loop(), section5_prices()
+        convex = make_strategy("convex")
+        for row, price in zip(rows[1:], grid):
+            ref = convex.evaluate(loop, prices.with_price(TOKEN_X, float(price)))
+            assert row[2] == str(ref.monetized_profit)
+
     def test_sweep_rejects_foreign_token(self):
         with pytest.raises(SystemExit, match="not in the"):
             main(["sweep", "--token", "Q"])
 
     @pytest.mark.parametrize("argv, message", [
         (["serve", "--shards", "0"], "--shards must be >= 1, got 0"),
-        (["sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
         (["serve", "--top", "0"], "--top must be >= 1, got 0"),
         (["detect", "--top", "-3"], "--top must be >= 1, got -3"),
-    ], ids=["serve-shards", "sweep-jobs", "serve-top", "detect-top"])
+    ], ids=["serve-shards", "serve-top", "detect-top"])
     def test_rejects_count_below_one(self, argv, message):
         with pytest.raises(SystemExit, match=message):
             main(argv)
 
+    @pytest.mark.parametrize("args, message", [
+        (["--blocks", "2", "--rate", "-5"], "--rate must be >= 0, got -5"),
+        (["--blocks", "2", "--rate", "nan"], "--rate must be >= 0, got nan"),
+        (["--simulate", "-3"], "--simulate must be >= 0, got -3"),
+    ], ids=["rate-negative", "rate-nan", "simulate-negative"])
+    def test_serve_rejects_negative_value(self, args, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["serve", "--pools", "15", "--tokens", "8"] + args)
+
+    def test_detect_rejects_short_length(self):
+        with pytest.raises(SystemExit, match="need length >= 3, got 2"):
+            main(["detect", "--length", "2"])
+
     def test_detect_scalar_matches_kernel_path(self, capsys, tmp_path):
+        """``detect --csv`` equals the rows built from the scalar
+        reference, ``MaxMaxStrategy.evaluate`` called per loop."""
+        import csv
+
+        from repro import analysis
+        from repro.data import paper_market
+        from repro.service.book import opportunity_sort_key
+        from repro.strategies import MaxMaxStrategy
+
         kernel = tmp_path / "kernel.csv"
-        scalar = tmp_path / "scalar.csv"
         assert main(["detect", "--csv", str(kernel)]) == 0
-        assert main(["detect", "--scalar", "--csv", str(scalar)]) == 0
         capsys.readouterr()
-        assert kernel.read_bytes() == scalar.read_bytes()
+        snapshot = paper_market(seed=20230901)
+        _snapshot, loops = analysis.profitable_loops(snapshot, 3)
+        scored = sorted(
+            (
+                (MaxMaxStrategy().evaluate(loop, snapshot.prices).monetized_profit,
+                 loop)
+                for loop in loops
+            ),
+            key=lambda pair: opportunity_sort_key(pair[0], pair[1].canonical_id),
+        )
+        with open(kernel, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["rank", "profit_usd", "loop_id", "path"]
+        assert rows[1:] == [
+            [str(rank), repr(profit), loop.canonical_id,
+             " -> ".join(t.symbol for t in loop.tokens)]
+            for rank, (profit, loop) in enumerate(scored, start=1)
+        ]
 
     def test_detect_csv_is_byte_stable_across_runs(self, capsys, tmp_path):
         first = tmp_path / "a.csv"
@@ -156,10 +216,6 @@ class TestCommands:
             scale, a_in, a_out, profit_units = cells[4:]
             assert scale == str(10**18)
             assert int(a_out) - int(a_in) == int(profit_units)
-
-    def test_detect_exact_rejects_scalar(self):
-        with pytest.raises(SystemExit, match="--exact"):
-            main(["detect", "--exact", "--scalar"])
 
     def test_efficiency(self, capsys):
         assert main(["efficiency", "--blocks", "2"]) == 0
@@ -299,6 +355,34 @@ class TestCommands:
         with pytest.raises(SystemExit, match="mutually exclusive"):
             main(["serve", "--events", "s.jsonl", "--snapshot", "m.json",
                   "--simulate", "3"])
+
+    @pytest.mark.parametrize("args, given", [
+        (["--blocks", "3000"], "--blocks"),
+        (["--events-per-block", "4"], "--events-per-block"),
+        (["--blocks", "3", "--events-per-block", "4"],
+         "--blocks, --events-per-block"),
+    ], ids=["blocks", "events-per-block", "both"])
+    def test_serve_simulate_rejects_stream_flags(self, args, given):
+        with pytest.raises(SystemExit, match=f"{given} only shape generated"):
+            main(["serve", "--simulate", "2"] + args)
+
+    def test_serve_simulate_builds_no_event_log(self, capsys, monkeypatch):
+        import repro.replay
+
+        sizes = []
+        make_workload = repro.replay.make_workload
+
+        def spy(n_tokens, n_pools, n_blocks, events_per_block, *args, **kwargs):
+            sizes.append((n_blocks, events_per_block))
+            return make_workload(
+                n_tokens, n_pools, n_blocks, events_per_block, *args, **kwargs
+            )
+
+        monkeypatch.setattr(repro.replay, "make_workload", spy)
+        assert main(["serve", "--simulate", "2", "--pools", "15",
+                     "--tokens", "8"]) == 0
+        assert "live simulation (2 blocks)" in capsys.readouterr().out
+        assert sizes == [(0, 0)]
 
     def test_serve_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit, match="unknown strategy"):

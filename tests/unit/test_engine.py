@@ -1,10 +1,9 @@
 """Unit tests for the batched evaluation engine.
 
 Covers the reserve-keyed rotation cache, the price-grid kernels and
-the point-by-point sweep walk (in process and over worker processes),
-and the topology-cached loop universe.  The contract under test
-throughout: the engine changes *when* work happens, never *what* is
-computed.
+the point-by-point sweep walk, and the topology-cached loop universe.
+The contract under test throughout: the engine changes *when* work
+happens, never *what* is computed.
 """
 
 from __future__ import annotations
@@ -94,71 +93,9 @@ class TestPoolStateCache:
             PoolStateCache(maxsize=0)
 
 
-class TestExecutors:
-    """The point-by-point walk behind ``sweep_results``: in process at
-    ``jobs=1``, over a process pool in contiguous grid chunks above."""
-
-    def test_serial_matches_direct_evaluation(self, s5_loop, s5_prices):
-        strategies = _sweep_strategies(s5_loop)
-        walked = EvaluationEngine(vectorize=False).sweep_results(
-            strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
-        )
-        for label, strategy in strategies.items():
-            for price, result in zip(SMALL_GRID, walked[label]):
-                ref = strategy.evaluate(
-                    s5_loop, s5_prices.with_price(TOKEN_X, float(price))
-                )
-                assert result.monetized_profit == ref.monetized_profit
-
-    def test_parallel_matches_serial_in_order(self, s5_loop, s5_prices):
-        strategies = {
-            "maxmax": MaxMaxStrategy(),
-            "convex": ConvexOptimizationStrategy(backend="slsqp"),
-        }
-        engine = EvaluationEngine(vectorize=False)
-        serial = engine.sweep_results(
-            strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
-        )
-        parallel = engine.sweep_results(
-            strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID, jobs=2
-        )
-        assert list(parallel) == list(strategies)
-        for label in strategies:
-            assert parallel[label] == serial[label]
-
-    def test_parallel_small_batch_runs_serially(self, s5_loop, s5_prices):
-        # one grid point is one chunk: walked in process, through the
-        # engine's own cache, whatever ``jobs`` says
-        engine = EvaluationEngine(vectorize=False)
-        results = engine.sweep_results(
-            {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, [2.0], jobs=2
-        )["mm"]
-        assert len(results) == 1
-        assert engine.cache.misses == 3
-
-    def test_deterministic_chunking(self, s5_loop, s5_prices):
-        # 11 points over 2 workers: ragged contiguous chunks, results
-        # still in grid order
-        grid = np.linspace(1e-9, 20.0, 11)
-        engine = EvaluationEngine(vectorize=False)
-        results = engine.sweep_results(
-            {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X, grid, jobs=2
-        )["mm"]
-        assert engine.cache.misses == 0  # every point went to a worker
-        for price, result in zip(grid, results):
-            ref = MaxMaxStrategy().evaluate(
-                s5_loop, s5_prices.with_price(TOKEN_X, float(price))
-            )
-            assert result == ref
-
-    def test_rejects_bad_parameters(self, s5_loop, s5_prices):
-        engine = EvaluationEngine()
-        for jobs in (0, -1):
-            with pytest.raises(ValueError, match="jobs"):
-                engine.sweep_results(
-                    {"mm": MaxMaxStrategy()}, s5_loop, s5_prices, TOKEN_X,
-                    SMALL_GRID, jobs=jobs,
-                )
+class PlainMaxMax(MaxMaxStrategy):
+    """MaxMax by inheritance only: no batch kind, so every engine route
+    evaluates it through its own methods."""
 
 
 class TestEngineSweep:
@@ -181,18 +118,56 @@ class TestEngineSweep:
                     "per_rotation"
                 )
 
-    def test_vectorize_off_matches_vectorize_on(self, s5_loop, s5_prices):
-        strategies = _sweep_strategies(s5_loop)
-        fast = EvaluationEngine(vectorize=True).sweep_results(
+    def test_walk_matches_direct_evaluation(self, s5_loop, s5_prices):
+        """Strategies without a batch kind walk the grid point by point
+        through the engine's cache: every point equals a direct
+        ``evaluate``."""
+        strategies = {
+            "convex": ConvexOptimizationStrategy(backend="slsqp"),
+            "maxmax": PlainMaxMax(),
+        }
+        walked = EvaluationEngine().sweep_results(
             strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
         )
-        slow = EvaluationEngine(vectorize=False).sweep_results(
+        assert list(walked) == list(strategies)
+        for label, strategy in strategies.items():
+            for price, result in zip(SMALL_GRID, walked[label]):
+                ref = strategy.evaluate(
+                    s5_loop, s5_prices.with_price(TOKEN_X, float(price))
+                )
+                assert result.monetized_profit == ref.monetized_profit
+
+    def test_walk_quotes_through_engine_cache(self, s5_loop, s5_prices):
+        """The walk quotes through ``engine.cache``: the loop's three
+        rotations miss once, every later point and a repeated sweep
+        hit."""
+        engine = EvaluationEngine()
+        for _ in range(2):
+            engine.sweep_results(
+                {"plain": PlainMaxMax()}, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
+            )
+            assert engine.cache.misses == 3
+        assert engine.cache.hits == 2 * 3 * len(SMALL_GRID) - 3
+
+    def test_kernel_and_walk_keep_label_order(self, s5_loop, s5_prices):
+        """Kernel and walked labels interleave in the caller's order,
+        and a walked MaxMax subclass equals the MaxMax grid kernel bit
+        for bit."""
+        strategies = {
+            "plain": PlainMaxMax(),
+            "maxmax": MaxMaxStrategy(),
+            "convex": ConvexOptimizationStrategy(backend="slsqp"),
+            "maxprice": MaxPriceStrategy(),
+        }
+        results = EvaluationEngine().sweep_results(
             strategies, s5_loop, s5_prices, TOKEN_X, SMALL_GRID
         )
-        for label in strategies:
-            assert [r.monetized_profit for r in fast[label]] == [
-                r.monetized_profit for r in slow[label]
-            ]
+        assert list(results) == list(strategies)
+        assert all(len(series) == len(SMALL_GRID) for series in results.values())
+        for walked, kernel in zip(results["plain"], results["maxmax"]):
+            assert walked.monetized_profit == kernel.monetized_profit
+            assert walked.amount_in == kernel.amount_in
+            assert walked.hop_amounts == kernel.hop_amounts
 
     def test_convex_falls_back_to_scalar_walk(self, s5_loop, s5_prices):
         grid = np.array([2.0, 15.0])
@@ -302,37 +277,85 @@ class TestEngineBatches:
             assert got.monetized_profit == ref.monetized_profit
             assert got.hop_amounts == ref.hop_amounts
 
-    def test_batch_evaluator_memo_reuses_and_refreshes(self, default_market):
+    def test_reserve_mutations_between_calls_are_visible(self, default_market):
         """Harvest pattern: repeated evaluate_strategy calls over a
-        universe's (changing) filtered sub-lists reuse one compiled
-        evaluator, and reserve mutations between rounds are visible."""
+        universe's filtered sub-lists see every reserve mutation made
+        between rounds."""
+        market = default_market.copy()  # the pools are mutated below
         engine = EvaluationEngine()
-        universe = engine.loop_universe(default_market.registry, 3)
+        universe = engine.loop_universe(market.registry, 3)
         loops = list(universe.candidates)
-        assert len(loops) >= 16  # above the batch-path floor
+        assert len(loops) >= 16  # enough for kernel-sized groups
         strategy = MaxMaxStrategy()
-        engine.evaluate_strategy(strategy, loops, default_market.prices)
-        assert len(engine._batch_evaluators) == 1
+        engine.evaluate_strategy(strategy, loops, market.prices)
 
         # mutate a pool, re-score a filtered sub-list of the same objects
         pool = loops[0].pools[0]
         pool.swap(pool.token0, pool.reserve0 * 0.05)
         subset = loops[: max(16, len(loops) // 2)]
-        results = engine.evaluate_strategy(strategy, subset, default_market.prices)
-        assert len(engine._batch_evaluators) == 1  # memo hit, no rebuild
+        results = engine.evaluate_strategy(strategy, subset, market.prices)
         for loop, got in zip(subset, results):
-            ref = strategy.evaluate(loop, default_market.prices)
+            ref = strategy.evaluate(loop, market.prices)
             assert got.monetized_profit == ref.monetized_profit
             assert got.amount_in == ref.amount_in
 
-    def test_scalar_engine_skips_batch_path(self, default_market):
+    def test_small_batch_scores_scalar_through_engine_cache(
+        self, default_market
+    ):
+        """Fewer loops than the evaluator's ``min_batch`` take its scalar
+        fallback, on the engine's cache: equal to ``evaluate``, and a
+        second call quotes nothing new."""
+        from repro.market.batch import DEFAULT_MIN_BATCH
+
+        loops = find_arbitrage_loops(default_market.graph(), 3)[:3]
+        assert len(loops) < DEFAULT_MIN_BATCH
+        engine = EvaluationEngine()
+        strategy = MaxMaxStrategy()
+        first = engine.evaluate_strategy(strategy, loops, default_market.prices)
+        misses = engine.cache.misses
+        assert misses > 0
+        second = engine.evaluate_strategy(strategy, loops, default_market.prices)
+        assert engine.cache.misses == misses
+        for loop, one, two in zip(loops, first, second):
+            ref = strategy.evaluate(loop, default_market.prices)
+            for got in (one, two):
+                assert got.monetized_profit == ref.monetized_profit
+                assert got.hop_amounts == ref.hop_amounts
+
+    def test_labels_share_one_batch_evaluator(self, default_market, monkeypatch):
+        """One ``evaluate_loops`` call builds one evaluator for all its
+        labels: kernel labels take the kernels, a subclass its scalar
+        fallback, each equal to its own ``evaluate``, in label order."""
+        import repro.market
+
+        built = []
+        batch_evaluator = repro.market.BatchEvaluator
+
+        def spy(*args, **kwargs):
+            built.append(batch_evaluator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(repro.market, "BatchEvaluator", spy)
         loops = list(
             EvaluationEngine().loop_universe(default_market.registry, 3).candidates
+        )[:20]
+        strategies = {
+            "plain": PlainMaxMax(),
+            "maxmax": MaxMaxStrategy(),
+            "maxprice": MaxPriceStrategy(),
+        }
+        per_label = EvaluationEngine().evaluate_loops(
+            strategies, loops, default_market.prices
         )
-        engine = EvaluationEngine(vectorize=False)
-        engine.evaluate_strategy(MaxMaxStrategy(), loops, default_market.prices)
-        assert len(engine._batch_evaluators) == 0
-        assert engine.cache.misses > 0  # went through the cached scalar path
+        assert len(built) == 1
+        assert built[0].stats.kernel_loops > 0
+        assert built[0].stats.scalar_loops >= len(loops)  # the subclass
+        assert list(per_label) == list(strategies)
+        for label, strategy in strategies.items():
+            for loop, got in zip(loops, per_label[label]):
+                ref = strategy.evaluate(loop, default_market.prices)
+                assert got.monetized_profit == ref.monetized_profit
+                assert got.hop_amounts == ref.hop_amounts
 
 
 class TestLoopUniverse:

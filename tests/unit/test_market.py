@@ -365,28 +365,6 @@ class TestBatchEvaluator:
         with pytest.raises(StrategyError, match="start token"):
             evaluator.evaluate_many(TraditionalStrategy(start_token=W), prices)
 
-    def test_refresh_rereads_source_pools(self, registry, prices):
-        loops = self._loops(registry)
-        evaluator = BatchEvaluator(loops, min_batch=1)  # owns its arrays
-        registry["xy"].swap(X, 150.0)
-        evaluator.refresh()
-        assert evaluator.arrays.reserves("xy") == (
-            registry["xy"].reserve0, registry["xy"].reserve1
-        )
-        with pytest.raises(RuntimeError, match="caller-owned"):
-            BatchEvaluator(
-                loops, arrays=MarketArrays.from_registry(registry)
-            ).refresh()
-
-    def test_positions_for_identity_subset(self, registry):
-        loops = self._loops(registry)
-        evaluator = BatchEvaluator(loops, min_batch=1)
-        assert evaluator.positions_for([loops[1]]) == [1]
-        assert evaluator.positions_for(loops) == [0, 1]
-        # an equal but distinct loop object is NOT the compiled one
-        clone = ArbitrageLoop(loops[0].tokens, loops[0].pools)
-        assert evaluator.positions_for([clone]) is None
-
     def test_pull_tracks_object_mutations(self, registry, prices):
         loops = self._loops(registry)
         evaluator = BatchEvaluator(
@@ -394,7 +372,7 @@ class TestBatchEvaluator:
         )
         strategy = MaxMaxStrategy()
         registry["xy"].swap(X, 200.0)
-        evaluator.pull(registry, ["xy"])
+        evaluator.arrays.pull(registry, ["xy"])
         batch = evaluator.evaluate_many(strategy, prices)
         for got, loop in zip(batch, loops):
             ref = strategy.evaluate_cached(loop, prices, None)

@@ -6,12 +6,15 @@ import math
 
 import pytest
 
-from repro.service import LatencyStat, ServiceMetrics
+from repro.service import ServiceMetrics
+from repro.telemetry import Histogram
 
 
 class TestLatencyStat:
+    """The histogram behind ``ServiceMetrics.latency``."""
+
     def test_nearest_rank_quantiles_are_exact(self):
-        stat = LatencyStat("t")
+        stat = Histogram("t")
         for value in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]:
             stat.observe(value)
         assert stat.quantile(0.5) == 0.5
@@ -20,7 +23,7 @@ class TestLatencyStat:
         assert stat.quantile(1.0) == 1.0
 
     def test_running_aggregates(self):
-        stat = LatencyStat("t")
+        stat = Histogram("t")
         stat.observe(2.0)
         stat.observe(4.0)
         assert stat.count == 2
@@ -30,7 +33,7 @@ class TestLatencyStat:
     def test_empty_stat_is_all_nan(self):
         # an empty stat has no latency: every summary field is nan, so
         # a missing signal can never masquerade as "0 ms" in a report
-        stat = LatencyStat("t")
+        stat = Histogram("t")
         assert math.isnan(stat.quantile(0.5))
         assert math.isnan(stat.quantile(0.0))
         assert math.isnan(stat.quantile(1.0))
@@ -42,7 +45,7 @@ class TestLatencyStat:
         assert "nan" in repr(stat)
 
     def test_single_observation_leaves_nan_behind(self):
-        stat = LatencyStat("t")
+        stat = Histogram("t")
         stat.observe(0.5)
         assert stat.quantile(0.5) == 0.5
         assert stat.mean == 0.5
@@ -52,7 +55,7 @@ class TestLatencyStat:
         )
 
     def test_reservoir_bound_keeps_counting(self):
-        stat = LatencyStat("t", max_samples=10)
+        stat = Histogram("t", max_samples=10)
         for i in range(100):
             stat.observe(float(i))
         assert stat.count == 100
@@ -61,15 +64,15 @@ class TestLatencyStat:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            LatencyStat("t", max_samples=0)
-        stat = LatencyStat("t")
+            Histogram("t", max_samples=0)
+        stat = Histogram("t")
         with pytest.raises(ValueError):
             stat.observe(-1.0)
         with pytest.raises(ValueError):
             stat.quantile(1.5)
 
     def test_to_dict_is_in_milliseconds(self):
-        stat = LatencyStat("t")
+        stat = Histogram("t")
         stat.observe(0.25)
         data = stat.to_dict()
         assert data["p50_ms"] == 250.0

@@ -10,7 +10,7 @@ import pytest
 
 from repro.amm.weighted import WeightedPool
 from repro.core import ArbitrageLoop, PriceMap, StrategyError, Token
-from repro.data import section5_loop, section5_prices
+from repro.data import section5_prices
 from repro.strategies import (
     ConvexOptimizationStrategy,
     MaxMaxStrategy,
@@ -221,14 +221,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             make_strategy("gradient-descent")
-
-    def test_evaluate_many(self, s5_prices):
-        loops = [section5_loop(), section5_loop()]
-        results = MaxMaxStrategy().evaluate_many(loops, s5_prices)
-        assert len(results) == 2
-        assert results[0].monetized_profit == pytest.approx(
-            results[1].monetized_profit
-        )
 
 
 class TestStrategyResult:

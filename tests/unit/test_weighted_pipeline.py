@@ -25,7 +25,7 @@ from repro.amm.weighted import WeightedPool
 from repro.core import PriceMap, Token
 from repro.data import MarketSnapshot
 from repro.engine import EvaluationEngine
-from repro.market import MarketArrays
+from repro.market import BatchEvaluator, MarketArrays
 from repro.replay import (
     ReplayDriver,
     apply_block_events,
@@ -188,11 +188,13 @@ class TestEngineMixedBatches:
         results = engine.evaluate_strategy(
             MaxMaxStrategy(), loops, mixed_market.prices
         )
-        evaluators = list(engine._batch_evaluators.values())
-        assert len(evaluators) == 1
-        evaluator = evaluators[0]
+        # the evaluator evaluate_loops scores through
+        evaluator = BatchEvaluator(loops)
         assert evaluator.fallback_positions == []
         assert sum(len(g) for g in evaluator.groups if g.weighted) == 10
+        assert evaluator.evaluate_many(
+            MaxMaxStrategy(), mixed_market.prices
+        ) == results
         assert evaluator.stats.scalar_loops == 0
         for loop, got in zip(loops, results):
             ref = MaxMaxStrategy().evaluate_cached(loop, mixed_market.prices, None)
