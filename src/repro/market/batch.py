@@ -15,6 +15,11 @@ monetize and select through the shared
 quotes every loop it is asked for; pruning belongs to the callers —
 ``monetized_bounds`` gives each loop a sound profit upper bound, and
 ``evaluate_top_k`` and the shard workers decide from it what to quote.
+Bounds split the same way: ``rotation_bounds`` runs the kernel pass
+for the reserve half, and :func:`~repro.market.bounds.monetized_bounds`
+values it at a price vector.  ``monetized_bounds`` runs both; the
+shards keep the reserve half per loop, like their quotes, and value it
+again on every tick.
 
 Dispatch is total over the paper's three fixed-start strategies: each
 compiled group routes to the kernel matching its family and the
@@ -71,7 +76,7 @@ from ..strategies.traditional import (
 )
 from ..amm.families import pool_family
 from .arrays import MarketArrays
-from .bounds import monetized_bounds as _group_monetized_bounds
+from .bounds import monetized_bounds as _group_monetized_bounds, rotation_profit_bounds
 from .compile import CompiledLoopGroup, compile_loops
 from .families import family_descriptor
 from .integer_kernel import (
@@ -149,8 +154,9 @@ class EvaluatorStats:
     non-batchable-strategy fallbacks land in the latter);
     ``kernel_passes`` counts vectorized group passes.  ``pruned_loops``
     counts evaluations answered by the bound pass alone (no exact
-    quote ran) and ``bound_passes`` the vectorized bound computations
-    behind them.
+    quote ran) and ``bound_passes`` the kernel rotation-bound passes
+    (:meth:`BatchEvaluator.rotation_bounds`, one per compiled group per
+    call); re-monetizing bounds a caller kept adds none.
     """
 
     kernel_loops: int = 0
@@ -192,8 +198,9 @@ class BatchEvaluator:
     arrays:
         Columnar reserves the compiled hop matrices address.  When
         omitted, arrays are built over exactly the pools the loops
-        cross.  The caller owns keeping them fresh (see
-        :meth:`MarketArrays.pull`).
+        cross, which must then be one object per pool id (two distinct
+        objects sharing an id raise ``ValueError``).  The caller owns
+        keeping them fresh (see :meth:`MarketArrays.pull`).
     min_batch:
         Smallest per-group slice worth a kernel pass.
     exact:
@@ -224,7 +231,14 @@ class BatchEvaluator:
             pools: dict[str, object] = {}
             for loop in self.loops:
                 for pool in loop.pools:
-                    pools.setdefault(pool.pool_id, pool)
+                    if pools.setdefault(pool.pool_id, pool) is not pool:
+                        # one row per id: the second object's reserves
+                        # would be quoted on the first one's
+                        raise ValueError(
+                            f"two distinct pool objects share id "
+                            f"{pool.pool_id!r}; build the loops from one "
+                            "registry or pass arrays"
+                        )
             arrays = MarketArrays(pools.values())
         self.arrays = arrays
         self.min_batch = min_batch
@@ -262,7 +276,9 @@ class BatchEvaluator:
         ``strategy`` (see :mod:`repro.market.bounds`): entry ``i``
         bounds ``indices[i]``.  ``prices`` is a price map or a price
         vector already aligned with the arrays' tokens (NaN =
-        unquoted).
+        unquoted).  Both halves run: :meth:`rotation_bounds` on the
+        current reserves, then :func:`~repro.market.bounds.monetized_bounds`
+        at ``prices``.
 
         ``+inf`` — the vacuous bound — where no cheap sound bound
         exists: scalar-fallback loops and non-batchable strategies.
@@ -283,26 +299,44 @@ class BatchEvaluator:
         kind = batch_kind(strategy)
         if kind is None:
             return out
-        by_group: dict[int, list[tuple[int, int]]] = {}
+        by_group: dict[int, tuple[list[int], list[int]]] = {}
         for i, position in enumerate(positions):
             where = self._where.get(position)
             if where is not None:
-                by_group.setdefault(where[0], []).append((i, where[1]))
-        with trace.span(
-            "kernel.bounds", loops=len(positions), groups=len(by_group)
-        ):
-            price_vec = self._price_vector(prices)
-            for gi, pairs in by_group.items():
-                group = self.groups[gi]
-                rows = [row for _, row in pairs]
-                sub = group if _all_rows(rows, group) else group.rows(rows)
-                self.stats.bound_passes += 1
-                values = _group_monetized_bounds(
-                    kind, strategy, self.arrays, sub, price_vec
-                )
-                for (i, _), value in zip(pairs, values):
-                    out[i] = value
+                sel, rows = by_group.setdefault(where[0], ([], []))
+                sel.append(i)
+                rows.append(where[1])
+        rows_by_group = {
+            gi: np.asarray(rows, dtype=np.intp) for gi, (_, rows) in by_group.items()
+        }
+        per_rotation = self.rotation_bounds(rows_by_group)
+        price_vec = self._price_vector(prices)
+        for gi, (sel, _) in by_group.items():
+            out[sel] = _group_monetized_bounds(
+                kind, strategy, self.groups[gi], rows_by_group[gi],
+                per_rotation[gi], price_vec,
+            )
         return out
+
+    def rotation_bounds(
+        self, rows_by_group: dict[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """The reserve half of the bounds: for each compiled group
+        index, the :func:`~repro.market.bounds.rotation_profit_bounds`
+        matrix of the group's loops at the given rows — one kernel pass
+        per group, counted in ``stats.bound_passes``.  The matrices
+        read reserves only, so they stay valid until a pool of the
+        loop moves."""
+        with trace.span(
+            "kernel.bounds",
+            loops=sum(len(rows) for rows in rows_by_group.values()),
+            groups=len(rows_by_group),
+        ):
+            self.stats.bound_passes += len(rows_by_group)
+            return {
+                gi: rotation_profit_bounds(self.arrays, self.groups[gi], rows)
+                for gi, rows in rows_by_group.items()
+            }
 
     def _price_vector(self, prices: PriceMap | np.ndarray) -> np.ndarray:
         """``prices`` aligned with the arrays' tokens, built once per

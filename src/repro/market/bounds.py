@@ -60,6 +60,15 @@ dominating the rounding of the bound expression itself.  NaN bounds
 must write prune masks as ``bound < threshold`` so NaN always falls
 through to the exact path, which owns raising (or not) exactly like
 the unpruned run.
+
+Two halves.  :func:`rotation_profit_bounds` is the reserve half: one
+flattened pass over every hop lane of the requested rows gives each
+rotation's bound in start-token units, valid until a pool of the loop
+moves.  :func:`monetized_bounds` is the price half: it values those
+rotation bounds at a price vector for the rotation(s) a strategy
+monetizes.  :meth:`~repro.market.BatchEvaluator.monetized_bounds` runs
+both on every call; a service shard keeps the reserve half per loop and
+re-runs only the price half while the loop's pools stand still.
 """
 
 from __future__ import annotations
@@ -101,55 +110,63 @@ _SILENT = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def group_rate_bound(
-    arrays: MarketArrays, group: CompiledLoopGroup
+    arrays: MarketArrays, group: CompiledLoopGroup, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-loop spot-rate product and out-side reserve gathers.
+    """Per-loop spot-rate product and out-side reserve gathers of the
+    group's loops at ``rows``.
 
     Returns ``(rate, y_out)`` where ``rate[k] = prod_j f_j'(0)`` over
-    the base rotation's hops (a rotation invariant) and ``y_out[k, j]``
-    is the oriented out-side reserve of base hop ``j`` — the reserve
-    capping the token that rotation ``j+1`` starts from.
+    the base rotation's hops of loop ``rows[k]`` (a rotation invariant)
+    and ``y_out[k, j]`` is the oriented out-side reserve of its base
+    hop ``j`` — the reserve capping the token that rotation ``j+1``
+    starts from.
 
-    The CPMM spot slope ``gamma * y/x`` is the vectorized base case;
-    each non-CPMM family present in a hop column adjusts its own lanes
-    through its descriptor's ``bound_factor`` hook (in family-code
-    order, like the chain kernel's lanes).
+    One flattened pass covers every hop lane (lane ``k*n + j`` is hop
+    ``j`` of loop ``rows[k]``): the CPMM spot slope ``gamma * y/x`` is
+    the vectorized base case, and each non-CPMM family present adjusts
+    its own lanes through its descriptor's ``bound_factor`` hook (in
+    family-code order, like the chain kernel's lanes), so a mixed
+    group's stableswap ``D`` iteration runs once per pass.  Every lane
+    sees the float operations a per-hop-column pass would apply, and
+    the rate multiplies the hop columns in order, so each row's result
+    does not depend on which other rows share the pass.
     """
-    count = len(group)
     n = group.length
-    rate = np.ones(count, dtype=np.float64)
-    y_out = np.empty((count, n), dtype=np.float64)
+    pool_lanes = group.pool_idx[rows].ravel()
+    orient_lanes = group.orient[rows].ravel()
     with np.errstate(**_SILENT):
+        x, y, gamma = oriented_reserves(arrays, pool_lanes, orient_lanes)
+        hop = gamma * y / x
+        if group.mixed:
+            fam = arrays.family[pool_lanes]
+            for code in sorted(int(c) for c in np.unique(fam)):
+                bound_factor = family_descriptor(code).bound_factor
+                if bound_factor is not None:
+                    hop = bound_factor(
+                        arrays, fam == code, pool_lanes, orient_lanes,
+                        x, y, gamma, hop,
+                    )
+        hop = hop.reshape(-1, n)
+        rate = np.ones(len(hop), dtype=np.float64)
         for j in range(n):
-            pool_col = group.pool_idx[:, j]
-            orient_col = group.orient[:, j]
-            x, y, gamma = oriented_reserves(arrays, pool_col, orient_col)
-            hop = gamma * y / x
-            if group.mixed:
-                fam = arrays.family[pool_col]
-                for code in sorted(int(c) for c in np.unique(fam)):
-                    bound_factor = family_descriptor(code).bound_factor
-                    if bound_factor is not None:
-                        hop = bound_factor(
-                            arrays, fam == code, pool_col, orient_col,
-                            x, y, gamma, hop,
-                        )
-            rate = rate * hop
-            y_out[:, j] = y
-    return rate, y_out
+            rate = rate * hop[:, j]
+    return rate, y.reshape(-1, n)
 
 
 def rotation_profit_bounds(
-    arrays: MarketArrays, group: CompiledLoopGroup
+    arrays: MarketArrays, group: CompiledLoopGroup, rows: np.ndarray
 ) -> np.ndarray:
-    """Upper bound on the single-token profit of every rotation.
+    """Upper bound on the single-token profit of every rotation of the
+    group's loops at ``rows``.
 
-    Returns a ``(len(group), length)`` matrix whose column ``o``
-    bounds the start-token profit of rotation ``o`` (the rotation
-    starting at ``loop.tokens[o]``).  Exactly 0.0 where the inflated
-    rate product proves no profitable input exists.
+    Returns a ``(len(rows), length)`` matrix whose column ``o`` bounds
+    the start-token profit of rotation ``o`` (the rotation starting at
+    ``loop.tokens[o]``).  Exactly 0.0 where the inflated rate product
+    proves no profitable input exists.  The bounds read reserves only,
+    so they hold until a pool of the loop moves, at any prices.
     """
-    rate, y_out = group_rate_bound(arrays, group)
+    rate, y_out = group_rate_bound(arrays, group, rows)
+    n = group.length
     with np.errstate(**_SILENT):
         r_eff = rate * (1.0 + BOUND_RATE_MARGIN)
         if group.mixed:
@@ -162,7 +179,7 @@ def rotation_profit_bounds(
         factor = np.where(r_eff > 1.0, factor, 0.0)
         # rotation o is fed by base hop (o - 1) mod n: its start token
         # is capped by that hop's out-side reserve
-        y_into = np.roll(y_out, 1, axis=1)
+        y_into = y_out[:, np.arange(n) - 1]
         bounds = factor[:, None] * y_into
         positive = bounds > 0.0
         bounds = np.where(
@@ -176,23 +193,28 @@ def rotation_profit_bounds(
 def monetized_bounds(
     kind: str,
     strategy,
-    arrays: MarketArrays,
     group: CompiledLoopGroup,
+    rows: np.ndarray,
+    per_rotation: np.ndarray,
     price_vec: np.ndarray,
 ) -> np.ndarray:
-    """Per-loop upper bound on the *monetized* profit under ``kind``.
+    """Per-loop upper bound on the *monetized* profit under ``kind`` of
+    the group's loops at ``rows``, from their rotation bounds
+    ``per_rotation`` (:func:`rotation_profit_bounds` of those rows).
 
-    ``kind`` is the evaluator's dispatch kind (``"traditional"`` /
-    ``"maxprice"`` / ``"maxmax"``, see
+    This is the price half of the bound: ``per_rotation`` depends on
+    reserves alone, so a caller that kept it may monetize it again at
+    every new price vector.  ``kind`` is the evaluator's dispatch kind
+    (``"traditional"`` / ``"maxprice"`` / ``"maxmax"``, see
     :func:`repro.market.batch.batch_kind`); the bound covers the
     rotation(s) that strategy would monetize.  ``price_vec`` holds the
-    USD prices aligned with ``arrays.tokens``.  NaN where a price the
+    USD prices aligned with the arrays' tokens.  NaN where a price the
     strategy needs is missing — unprunable by construction, so the
     exact path keeps ownership of raising ``MissingPriceError``.
     """
-    count = len(group)
-    per_rotation = rotation_profit_bounds(arrays, group)
-    price_matrix = price_vec[group.token_idx]
+    count = len(rows)
+    price_matrix = price_vec[group.token_idx[rows]]
+    k = np.arange(count)
     with np.errstate(**_SILENT):
         if kind == "traditional":
             start = strategy.start_token
@@ -201,24 +223,20 @@ def monetized_bounds(
             else:
                 # missing start tokens raise in the exact pass; bound
                 # those rows NaN so they always reach it
+                token_offset = [group.token_offset[row] for row in rows.tolist()]
                 offsets = np.asarray(
-                    [offs.get(start, 0) for offs in group.token_offset],
-                    dtype=np.intp,
+                    [offs.get(start, 0) for offs in token_offset], dtype=np.intp
                 )
-                absent = np.asarray(
-                    [start not in offs for offs in group.token_offset]
-                )
-            rows = np.arange(count)
-            bounds = price_matrix[rows, offsets] * per_rotation[rows, offsets]
+                absent = np.asarray([start not in offs for offs in token_offset])
+            bounds = price_matrix[k, offsets] * per_rotation[k, offsets]
             if start is not None and absent.any():
                 bounds = np.where(absent, np.nan, bounds)
             return bounds
         if kind == "maxprice":
             # the exact pass raises on *any* missing loop price; a NaN
             # anywhere in the row must make the row unprunable
-            offsets = group.max_price_offsets(price_matrix)
-            rows = np.arange(count)
-            bounds = price_matrix[rows, offsets] * per_rotation[rows, offsets]
+            offsets = group.max_price_offsets(price_matrix, rows)
+            bounds = price_matrix[k, offsets] * per_rotation[k, offsets]
             any_nan = np.isnan(price_matrix).any(axis=1)
             return np.where(any_nan, np.nan, bounds)
         # maxmax: the best monetized rotation is below the best

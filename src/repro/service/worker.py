@@ -11,20 +11,28 @@ the price-independent half of every fixed-start evaluation it ran: per
 loop, the optimal input and the start-token profit of each rotation
 its strategy monetizes (every rotation for MaxMax, the start for
 Traditional and MaxPrice), plus a price vector aligned with the
-store's tokens that ticks update in place.  Per block it
+store's tokens that ticks update in place.  With pruning on it keeps
+the price-independent half of every bound it took the same way: per
+loop, the start-token profit bound of each rotation
+(:func:`~repro.market.rotation_profit_bounds`).  Per block it
 
 1. syncs to the block (on a segment, waits for the block's seqlock
    epoch),
 2. maps the block's dirty store rows and ticked token indices to its
-   loops, updating the price vector and dropping the stored quotes of
-   every loop whose pools moved,
+   loops, updating the price vector and dropping the stored quotes and
+   stored bounds of every loop whose pools moved,
 3. re-monetizes the loops dirtied only by ticks whose stored quotes are
    still valid — one numpy pass of ``price × profit`` through
    :func:`~repro.market.monetize_rotations`, no bound and no solve
    (MaxPrice only while the quoted start is still the max-price
    token),
 4. with pruning on (``top_k``), bound-prunes the other dirty loops
-   against its own threshold (below),
+   against its own threshold (below): one kernel pass bounds the
+   rotations of those without stored bounds (their pools moved, or a
+   MaxPrice start moved on a loop never bounded), then every one of
+   them is valued from its stored rotation bounds at the current
+   prices (:func:`~repro.market.monetized_bounds`), so a tick-only
+   loop re-bounds with a multiply,
 5. quotes the rest through :class:`~repro.market.BatchEvaluator`,
    storing their rotation quotes for later ticks, and
 6. with pruning on, restores every kept entry the new threshold no
@@ -32,9 +40,11 @@ store's tokens that ticks update in place.  Per block it
 
 A loop's stored quotes are valid from the quote that produced them
 until the next block whose dirty rows touch one of its pools; a
-bound-pruned pool-dirty loop has none until it is quoted again.  On the
-process backend a quote may read reserves newer than its block; the
-block that moved those rows reaches the shard later and drops them.
+bound-pruned pool-dirty loop has none until it is quoted again.  Its
+stored bounds follow the same rule from the bound pass that produced
+them.  On the process backend a quote or bound pass may read reserves
+newer than its block; the block that moved those rows reaches the
+shard later and drops them.
 Strategies without a batch kind (convex) re-solve every dirty loop.
 
 Pruning is the worker's alone.  Its threshold is the K-th largest
@@ -106,6 +116,7 @@ from ..market import (
     batch_kind,
     below_threshold,
     monetize_rotations,
+    monetized_bounds,
     pool_handles,
 )
 from ..replay.apply import build_loop_indices, rebind_loops
@@ -308,6 +319,18 @@ class ShardWorker:
                 )
             )
         self._valid = np.zeros(n, dtype=bool)
+        # pruning: the reserve half of each loop's bound, per compiled
+        # group (every rotation's start-token bound), plus which loops'
+        # bounds still match the store; filled by the first bound pass
+        # that needs them
+        self._rotation_bounds: list[np.ndarray] = []
+        self._bounded: np.ndarray | None = None
+        if top_k is not None:
+            self._rotation_bounds = [
+                np.zeros((len(group), group.length), dtype=np.float64)
+                for group in self._evaluator.groups
+            ]
+            self._bounded = np.zeros(n, dtype=bool)
         everything = np.arange(n)
         self._store_quotes(everything)
         self._publish(everything, *self._monetize(everything))
@@ -449,6 +472,27 @@ class ShardWorker:
             stored_profit[rows] = profit
             self._valid[self._evaluator.groups[gi].positions[rows]] = True
 
+    def _store_bounds(self, positions: np.ndarray) -> None:
+        """Bound the rotations of the loops at ``positions`` (one kernel
+        pass per group, one read bracket) and keep the bounds as the
+        loops' valid stored bounds."""
+        rows_by_group = {gi: rows for gi, _, rows in self._by_group(positions)}
+        bounded = self._read(lambda: self._evaluator.rotation_bounds(rows_by_group))
+        for gi, per_rotation in bounded.items():
+            self._rotation_bounds[gi][rows_by_group[gi]] = per_rotation
+        self._bounded[positions] = True
+
+    def _monetized_bounds(self, positions: np.ndarray) -> np.ndarray:
+        """Each loop's monetized profit bound from its stored rotation
+        bounds at the current prices."""
+        bounds = np.empty(len(positions), dtype=np.float64)
+        for gi, sel, rows in self._by_group(positions):
+            bounds[sel] = monetized_bounds(
+                self._kind, self.strategy, self._evaluator.groups[gi], rows,
+                self._rotation_bounds[gi][rows], self._prices,
+            )
+        return bounds
+
     def _by_group(self, positions: np.ndarray):
         """``(group index, selector into positions, group rows)`` per
         compiled group the loops at ``positions`` fall in."""
@@ -547,9 +591,13 @@ class ShardWorker:
                     self._price_map = None
                 dirty = np.array(sorted(touched), dtype=np.intp)
                 if self._kind is not None:
-                    # a pool move invalidates the stored quotes; every
-                    # dirty loop still holding valid ones is tick-only
-                    self._valid[list(moved)] = False
+                    # a pool move invalidates the stored quotes and
+                    # bounds; every dirty loop still holding valid
+                    # quotes is tick-only
+                    moved_positions = list(moved)
+                    self._valid[moved_positions] = False
+                    if self._bounded is not None:
+                        self._bounded[moved_positions] = False
                 unready, ready = self._split(dirty)
             threshold = None
             if self.top_k is not None and len(dirty):
@@ -658,16 +706,21 @@ class ShardWorker:
         proves the new exact value cannot reach the shard's top K, and
         the published check proves the entry it would replace is not
         sitting in (or above) it either.  Everything else — including
-        every NaN bound — gets requoted.
+        every NaN bound — gets requoted.  Strategies without a batch
+        kind have no cheap bound and requote every dirty loop.
+
+        The bounds come in two halves (:mod:`repro.market.bounds`): one
+        kernel pass over the loops without stored rotation bounds, then
+        every loop's stored rotation bounds valued at the current
+        prices.
         """
-        if not len(unready):
+        if not len(unready) or self._kind is None:
             return unready
         with trace.span("shard.bounds", loops=len(unready)):
-            bounds = self._read(
-                lambda: self._evaluator.monetized_bounds(
-                    self.strategy, self._prices, indices=unready.tolist()
-                )
-            )
+            fresh = unready[~self._bounded[unready]]
+            if len(fresh):
+                self._store_bounds(fresh)
+            bounds = self._monetized_bounds(unready)
         prunable = below_threshold(bounds, threshold) & below_threshold(
             self._profits[unready], threshold
         )

@@ -336,6 +336,20 @@ class TestBatchEvaluator:
             assert got.details == ref.details
             assert got.loop == ref.loop
 
+    def test_distinct_pools_sharing_an_id_are_rejected(self, registry):
+        """Built without arrays, one column row per pool id: a loop over
+        a copy's ``yz`` would be quoted on the original's reserves, so
+        the evaluator refuses it.  One registry's loops share one object
+        per pool and build."""
+        copy = registry.copy()
+        copy["yz"].swap(Y, 500.0)
+        loops = self._loops(registry)
+        twin = ArbitrageLoop([X, Y, Z], [registry["xy"], copy["yz"], registry["zx"]])
+        with pytest.raises(ValueError, match="'yz'"):
+            BatchEvaluator([*loops, twin])
+        evaluator = BatchEvaluator(self._mixed_loops(registry))
+        assert len(evaluator.arrays.reserve0) == len(registry)
+
     def test_indices_select_and_align(self, registry, prices):
         loops = self._loops(registry)
         evaluator = BatchEvaluator(loops, min_batch=1)

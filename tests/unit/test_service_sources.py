@@ -274,6 +274,34 @@ class TestShardWorker:
         assert entry.amount_in == fresh.amount_in
         assert entry.start_symbol == fresh.start_token.symbol
 
+    def test_pruned_loops_keep_their_bounds_until_a_pool_moves(
+        self, disjoint_triangles
+    ):
+        """X's loops, bound-pruned after the swap that collapsed them,
+        hold no quotes but keep their rotation bounds: a tick on X's
+        tokens re-bounds them with no kernel pass, and a block that
+        moves one of X's pools runs exactly one."""
+        market = disjoint_triangles({"A": 1300.0, "X": 1250.0})
+        worker = _worker(market, _loops_for(market), top_k=1)
+        private = market.copy()
+        update = worker.process_block(
+            _write(private, worker.store, 1, [_collapse("X", 1)])
+        )
+        assert update.entries == () and update.pruned == 2
+        passes = worker.evaluator_stats.bound_passes
+        token = Token("Xb")
+        tick = PriceTickEvent(token, market.prices[token] * 1.01, block=2)
+        update = worker.process_block(_write(private, worker.store, 2, [tick]))
+        assert update.pruned == 2 and update.remonetized == 0
+        assert worker.evaluator_stats.bound_passes == passes
+        nudge = SwapEvent(
+            pool_id="X-bc", token_in=Token("Xb"), token_out=Token("Xc"),
+            amount_in=1e-3, amount_out=0.0, block=3,
+        )
+        update = worker.process_block(_write(private, worker.store, 3, [nudge]))
+        assert update.pruned == 2
+        assert worker.evaluator_stats.bound_passes == passes + 1
+
     def test_maxprice_start_move_requotes(self, workload):
         """A tick that makes another token the loop's max-price start
         re-quotes the loop from that start; its stored quote from the
