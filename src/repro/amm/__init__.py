@@ -1,9 +1,15 @@
-"""Uniswap-V2-style constant-product AMM substrate (DESIGN.md S2/S3).
+"""Two-token AMM substrate: constant-product, weighted and stableswap
+pools (DESIGN.md S2/S3).
 
 Public surface:
 
-* pure swap math — :mod:`repro.amm.swap`;
-* stateful pools — :class:`~repro.amm.pool.Pool`;
+* pure constant-product swap math — :mod:`repro.amm.swap`;
+* stateful pools — the shared base :class:`~repro.amm.pool.TwoTokenPool`
+  and its families :class:`~repro.amm.pool.Pool` (CPMM),
+  :class:`~repro.amm.weighted.WeightedPool` (G3M) and
+  :class:`~repro.amm.stableswap.StableSwapPool`, each its curve and
+  parameters; the integer-exact CPMM twin
+  :class:`~repro.amm.integer.IntegerPool`;
 * pool collections — :class:`~repro.amm.registry.PoolRegistry`;
 * the linear-fractional composition algebra that makes single-rotation
   optimization closed-form — :class:`~repro.amm.composition.SwapComposition`.
@@ -35,7 +41,7 @@ from .families import (
     FAMILY_STABLESWAP,
     pool_family,
 )
-from .pool import DEFAULT_FEE, Pool, PoolSnapshot
+from .pool import DEFAULT_FEE, Pool, PoolSnapshot, TwoTokenPool
 from .registry import PoolRegistry, RegistrySnapshot
 from .stableswap import StableSwapPool
 from .weighted import WeightedPool
@@ -70,6 +76,7 @@ __all__ = [
     "StableSwapPool",
     "SwapComposition",
     "SwapEvent",
+    "TwoTokenPool",
     "WeightedPool",
     "amount_in",
     "amount_out",

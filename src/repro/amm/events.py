@@ -9,7 +9,7 @@ replayable market history (see :mod:`repro.replay`).
 
 Producers:
 
-* :meth:`~repro.amm.pool.Pool.swap`, ``add_liquidity`` and
+* :meth:`~repro.amm.pool.TwoTokenPool.swap`, ``add_liquidity`` and
   ``remove_liquidity`` append the matching event to the pool's log;
 * :class:`~repro.simulation.engine.SimulationEngine` stamps block
   numbers and collects everything its agents did into one

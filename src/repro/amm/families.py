@@ -5,8 +5,8 @@ layer stores it in a per-row ``MarketArrays.family`` column (and in the
 shared-memory segment) and routes batch application, loop compilation,
 kernel quoting, and bound rules through the per-family descriptor
 registry in :mod:`repro.market.families`.  Adding a pool family means
-adding a code here, a pool class in ``amm/``, and one descriptor there —
-no per-layer boolean surgery.
+adding a code here, a :class:`~repro.amm.pool.TwoTokenPool` subclass in
+``amm/``, and one descriptor there — no per-layer boolean surgery.
 
 Codes are part of the shared-memory layout contract (``np.int8``
 column), so they are append-only: never renumber an existing family.
@@ -39,7 +39,7 @@ FAMILY_NAMES = {
 def pool_family(pool) -> int:
     """The family code of a pool-like object.
 
-    Objects that predate the taxonomy (plain duck-typed pools in tests)
-    default to CPMM, matching the old ``is_constant_product`` default.
+    Objects without a ``family`` attribute (plain duck-typed pools in
+    tests) count as CPMM.
     """
     return getattr(pool, "family", FAMILY_CPMM)

@@ -1,12 +1,20 @@
-"""Stateful Uniswap-V2-style constant-product liquidity pool.
+"""Two-token pools: the shared base and the constant-product family.
 
-A :class:`Pool` holds two token reserves and a fee rate.  Reads
-(`quote_out`, `spot_price`, ...) never mutate; every state transition
-— :meth:`Pool.swap`, :meth:`Pool.add_liquidity`,
-:meth:`Pool.remove_liquidity` — mutates reserves exactly the way the
-V2 pair contract does and records the matching typed event
+:class:`TwoTokenPool` is everything a two-token pool family shares:
+two token reserves, a fee rate, an identity, an event log, and the
+state transitions — :meth:`~TwoTokenPool.swap`,
+:meth:`~TwoTokenPool.add_liquidity`,
+:meth:`~TwoTokenPool.remove_liquidity` — that move reserves the way
+the V2 pair contract does and record the matching typed event
 (:class:`~repro.amm.events.SwapEvent` / ``MintEvent`` / ``BurnEvent``),
-so a pool's event log replays to its current state.
+so a pool's event log replays to its current state.  A family is a
+subclass that supplies its curve (``quote_out``, ``spot_price``,
+``marginal_rate``) and its parameters; reads never mutate.
+
+:class:`Pool` is the Uniswap-V2-style constant-product family; the
+weighted (:class:`~repro.amm.weighted.WeightedPool`) and stableswap
+(:class:`~repro.amm.stableswap.StableSwapPool`) families live in their
+own modules.
 
 Pools are *directionless*: either token can be the input side.  All
 directional methods take the input token explicitly, mirroring how the
@@ -15,6 +23,7 @@ paper writes ``F(dx | theta)`` with theta ordered per hop.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from typing import Mapping
@@ -25,17 +34,18 @@ from . import swap as swap_math
 from .events import BurnEvent, MarketEvent, MintEvent, SwapEvent
 from .families import FAMILY_CPMM
 
-__all__ = ["Pool", "PoolSnapshot", "DEFAULT_FEE"]
+__all__ = ["Pool", "PoolSnapshot", "TwoTokenPool", "DEFAULT_FEE"]
 
 #: Uniswap V2 fee (the paper's λ).
 DEFAULT_FEE = 0.003
 
-_pool_counter = itertools.count()
+#: One auto-id counter per family id prefix (``pool-N``, ``wpool-N``, ...).
+_id_counters: dict[str, itertools.count] = collections.defaultdict(itertools.count)
 
 
 @dataclass(frozen=True)
 class PoolSnapshot:
-    """Immutable view of a pool's state, used for revert and serialization."""
+    """Immutable view of a pool's state, used for revert."""
 
     pool_id: str
     token0: Token
@@ -54,8 +64,9 @@ class PoolSnapshot:
         return prices[self.token0] * self.reserve0 + prices[self.token1] * self.reserve1
 
 
-class Pool:
-    """A mutable constant-product pool between ``token0`` and ``token1``.
+class TwoTokenPool:
+    """A mutable pool between ``token0`` and ``token1``: the bookkeeping
+    every family shares.
 
     Parameters
     ----------
@@ -67,13 +78,21 @@ class Pool:
         Initial reserves *matching the argument order given*, re-mapped
         if normalization swapped the tokens.
     fee:
-        Transaction tax λ, default 0.003.
+        Transaction tax λ on the input side.
     pool_id:
-        Stable identifier; autogenerated (``pool-N``) when omitted.
+        Stable identifier; autogenerated (``{id_prefix}-N``) when
+        omitted.
+
+    A family subclass sets ``family`` (its :mod:`repro.amm.families`
+    code) and ``id_prefix``, stores its parameters after this
+    constructor ran (in ``token0``/``token1`` order), and implements
+    ``quote_out``, ``spot_price``, ``marginal_rate`` and, if it has
+    parameters, ``_params`` (the keyword arguments :meth:`copy` passes
+    back to its constructor).
     """
 
-    is_constant_product = True
-    family = FAMILY_CPMM
+    family: int
+    id_prefix: str
 
     __slots__ = ("_token0", "_token1", "_reserve0", "_reserve1", "_fee", "_pool_id", "_events")
 
@@ -100,7 +119,9 @@ class Pool:
         self._reserve0 = float(reserve0)
         self._reserve1 = float(reserve1)
         self._fee = float(fee)
-        self._pool_id = pool_id if pool_id is not None else f"pool-{next(_pool_counter)}"
+        if pool_id is None:
+            pool_id = f"{self.id_prefix}-{next(_id_counters[self.id_prefix])}"
+        self._pool_id = pool_id
         self._events: list[MarketEvent] = []
 
     # ------------------------------------------------------------------
@@ -139,11 +160,6 @@ class Pool:
         return (self._token0, self._token1)
 
     @property
-    def k(self) -> float:
-        """Current constant-product invariant ``reserve0 * reserve1``."""
-        return self._reserve0 * self._reserve1
-
-    @property
     def events(self) -> tuple[MarketEvent, ...]:
         """State-changing events applied to this pool, oldest first."""
         return tuple(self._events)
@@ -177,12 +193,6 @@ class Pool:
     def __contains__(self, token: Token) -> bool:
         return token == self._token0 or token == self._token1
 
-    def __repr__(self) -> str:
-        return (
-            f"Pool({self._pool_id}: {self._reserve0:g} {self._token0.symbol} / "
-            f"{self._reserve1:g} {self._token1.symbol}, fee={self._fee})"
-        )
-
     def other(self, token: Token) -> Token:
         """The counterpart token of ``token`` in this pool."""
         if token == self._token0:
@@ -200,85 +210,61 @@ class Pool:
 
     def reserves_oriented(self, token_in: Token) -> tuple[float, float]:
         """Reserves as ``(x, y)`` with ``x`` the input-token reserve."""
-        return (self.reserve_of(token_in), self.reserve_of(self.other(token_in)))
-
-    # ------------------------------------------------------------------
-    # quotes (pure)
-    # ------------------------------------------------------------------
-
-    def quote_out(self, token_in: Token, amount_in: float) -> float:
-        """Exact-in quote without mutating state (``F(dx | theta)``)."""
-        x, y = self.reserves_oriented(token_in)
-        return swap_math.amount_out(x, y, amount_in, self._fee)
-
-    def quote_in(self, token_out: Token, amount_out: float) -> float:
-        """Exact-out quote: input needed to receive ``amount_out``."""
-        x, y = self.reserves_oriented(self.other(token_out))
-        return swap_math.amount_in(x, y, amount_out, self._fee)
-
-    def spot_price(self, token_in: Token) -> float:
-        """Fee-adjusted marginal price of ``token_in`` in output units."""
-        x, y = self.reserves_oriented(token_in)
-        return swap_math.spot_price(x, y, self._fee)
-
-    def marginal_rate(self, token_in: Token, amount_in: float) -> float:
-        """Derivative of output wrt input at trade size ``amount_in``."""
-        x, y = self.reserves_oriented(token_in)
-        return swap_math.marginal_rate(x, y, amount_in, self._fee)
+        if token_in == self._token0:
+            return (self._reserve0, self._reserve1)
+        if token_in == self._token1:
+            return (self._reserve1, self._reserve0)
+        raise UnknownTokenError(f"{token_in} is not in {self!r}")
 
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
 
     def swap(self, token_in: Token, amount_in: float) -> float:
-        """Execute an exact-in swap, mutate reserves, return amount out.
+        """Execute an exact-in swap on the family's curve: mutate
+        reserves, log the event, return the amount out.
 
-        Post-condition (checked): the invariant never decreases —
-        ``(x + dx)(y - dy) >= x*y`` because the fee stays in the pool
-        (the full ``dx`` is added, but ``dy`` was computed from the
-        fee-discounted input).
+        A swap that would drain a reserve raises
+        :class:`~repro.core.errors.InvalidReserveError` and leaves the
+        pool unchanged.
         """
-        token_out = self.other(token_in)
+        amount_out = self.quote_out(token_in, amount_in)
         x, y = self.reserves_oriented(token_in)
-        dy = swap_math.amount_out(x, y, amount_in, self._fee)
-        k_before = self.k
-        self._adjust(token_in, amount_in)
-        self._adjust(token_out, -dy)
-        # Rounding slack: ``y - dy`` cancels catastrophically for huge
-        # trades, with absolute error up to ~eps*y, amplified by the
-        # grown input reserve.  Real bugs violate by orders of
-        # magnitude more than this bound.
-        slack = 1e-12 * k_before + 1e-14 * (x + amount_in) * y
-        if self.k < k_before - slack:
-            raise InvariantViolationError(
-                f"invariant decreased in {self._pool_id}: {k_before} -> {self.k}"
+        self._write_swap(token_in, amount_in, amount_out, x + amount_in, y - amount_out)
+        return amount_out
+
+    def _write_swap(
+        self,
+        token_in: Token,
+        amount_in: float,
+        amount_out: float,
+        new_in: float,
+        new_out: float,
+    ) -> None:
+        """Write a swap's new (input-side, output-side) reserves and log
+        it.  Both are checked before either is written."""
+        if not (new_in > 0.0 and new_out > 0.0):
+            raise InvalidReserveError(
+                f"swapping {amount_in} {token_in} into {self._pool_id} would "
+                f"leave reserves {new_in} (in) / {new_out} (out)"
             )
+        if token_in == self._token0:
+            self._reserve0 = new_in
+            self._reserve1 = new_out
+            token_out = self._token1
+        else:
+            self._reserve1 = new_in
+            self._reserve0 = new_out
+            token_out = self._token0
         self._events.append(
             SwapEvent(
                 pool_id=self._pool_id,
                 token_in=token_in,
                 token_out=token_out,
                 amount_in=amount_in,
-                amount_out=dy,
+                amount_out=amount_out,
             )
         )
-        return dy
-
-    def _adjust(self, token: Token, delta: float) -> None:
-        if token == self._token0:
-            new = self._reserve0 + delta
-            if new <= 0:
-                raise InvalidReserveError(
-                    f"reserve of {token} would become {new}"
-                )
-            self._reserve0 = new
-        else:
-            new = self._reserve1 + delta
-            if new <= 0:
-                raise InvalidReserveError(
-                    f"reserve of {token} would become {new}"
-                )
-            self._reserve1 = new
 
     def add_liquidity(self, amount0: float, amount1: float) -> None:
         """Deposit reserves proportionally (V2 ``mint``).
@@ -327,7 +313,7 @@ class Pool:
         return (out0, out1)
 
     # ------------------------------------------------------------------
-    # snapshot / restore
+    # snapshot / restore / copy
     # ------------------------------------------------------------------
 
     def snapshot(self) -> PoolSnapshot:
@@ -349,20 +335,22 @@ class Pool:
         self._reserve0 = snap.reserve0
         self._reserve1 = snap.reserve1
 
-    @classmethod
-    def from_snapshot(cls, snap: PoolSnapshot) -> "Pool":
-        return cls(
-            snap.token0,
-            snap.token1,
-            snap.reserve0,
-            snap.reserve1,
-            fee=snap.fee,
-            pool_id=snap.pool_id,
-        )
+    def _params(self) -> dict:
+        """The family's constructor parameters beyond reserves and fee."""
+        return {}
 
-    def copy(self) -> "Pool":
-        """Independent deep copy (event log not carried over)."""
-        return Pool.from_snapshot(self.snapshot())
+    def copy(self):
+        """Independent copy: same family, id, reserves, fee and
+        parameters (event log not carried over)."""
+        return type(self)(
+            self._token0,
+            self._token1,
+            self._reserve0,
+            self._reserve1,
+            fee=self._fee,
+            pool_id=self._pool_id,
+            **self._params(),
+        )
 
     def tvl(self, prices) -> float:
         """Total value locked under a price map."""
@@ -370,3 +358,85 @@ class Pool:
             prices[self._token0] * self._reserve0
             + prices[self._token1] * self._reserve1
         )
+
+
+class Pool(TwoTokenPool):
+    """A constant-product (Uniswap V2) pool: ``x * y = k``.
+
+    Construction as :class:`TwoTokenPool`; ``fee`` defaults to
+    :data:`DEFAULT_FEE` and auto ids read ``pool-N``.
+    """
+
+    family = FAMILY_CPMM
+    id_prefix = "pool"
+
+    __slots__ = ()
+
+    @property
+    def k(self) -> float:
+        """Current constant-product invariant ``reserve0 * reserve1``."""
+        return self._reserve0 * self._reserve1
+
+    def __repr__(self) -> str:
+        return (
+            f"Pool({self._pool_id}: {self._reserve0:g} {self._token0.symbol} / "
+            f"{self._reserve1:g} {self._token1.symbol}, fee={self._fee})"
+        )
+
+    # ------------------------------------------------------------------
+    # quotes (pure)
+    # ------------------------------------------------------------------
+
+    def quote_out(self, token_in: Token, amount_in: float) -> float:
+        """Exact-in quote without mutating state (``F(dx | theta)``)."""
+        x, y = self.reserves_oriented(token_in)
+        return swap_math.amount_out(x, y, amount_in, self._fee)
+
+    def quote_in(self, token_out: Token, amount_out: float) -> float:
+        """Exact-out quote: input needed to receive ``amount_out``."""
+        x, y = self.reserves_oriented(self.other(token_out))
+        return swap_math.amount_in(x, y, amount_out, self._fee)
+
+    def spot_price(self, token_in: Token) -> float:
+        """Fee-adjusted marginal price of ``token_in`` in output units."""
+        x, y = self.reserves_oriented(token_in)
+        return swap_math.spot_price(x, y, self._fee)
+
+    def marginal_rate(self, token_in: Token, amount_in: float) -> float:
+        """Derivative of output wrt input at trade size ``amount_in``."""
+        x, y = self.reserves_oriented(token_in)
+        return swap_math.marginal_rate(x, y, amount_in, self._fee)
+
+    # ------------------------------------------------------------------
+    # state transitions
+    # ------------------------------------------------------------------
+
+    def swap(self, token_in: Token, amount_in: float) -> float:
+        """Execute an exact-in swap, mutate reserves, return amount out.
+
+        The base swap with one reserve read (ingest calls this once per
+        swap event) and a checked post-condition: the invariant never
+        decreases — ``(x + dx)(y - dy) >= x*y`` because the fee stays
+        in the pool (the full ``dx`` is added, but ``dy`` was computed
+        from the fee-discounted input).  A swap that would drain a
+        reserve raises ``InvalidReserveError`` and leaves the pool
+        unchanged, as on every family.
+        """
+        x, y = self.reserves_oriented(token_in)
+        dy = swap_math.amount_out(x, y, amount_in, self._fee)
+        new_x = x + amount_in
+        new_y = y - dy
+        k_before = x * y
+        # Rounding slack: ``y - dy`` cancels catastrophically for huge
+        # trades, with absolute error up to ~eps*y, amplified by the
+        # grown input reserve.  Real bugs violate by orders of
+        # magnitude more than this bound.  (A drained ``new_y`` is
+        # ``_write_swap``'s InvalidReserveError, not a violation.)
+        slack = 1e-12 * k_before + 1e-14 * new_x * y
+        if new_y > 0.0 and new_x * new_y < k_before - slack:
+            raise InvariantViolationError(
+                f"invariant decreased in {self._pool_id}: "
+                f"{k_before} -> {new_x * new_y}"
+            )
+        self._write_swap(token_in, amount_in, dy, new_x, new_y)
+        return dy

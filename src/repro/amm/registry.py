@@ -1,8 +1,9 @@
 """Pool registry: the in-memory equivalent of the Uniswap V2 factory.
 
-A :class:`PoolRegistry` owns a set of :class:`~repro.amm.pool.Pool`
-objects, indexed by pool id and by token pair, and provides the
-snapshot/restore primitives the atomic execution simulator builds on.
+A :class:`PoolRegistry` owns a set of pools of any family
+(:class:`~repro.amm.pool.TwoTokenPool` subclasses), indexed by pool id
+and by token pair, and provides the snapshot/restore primitives the
+atomic execution simulator builds on.
 Unlike the real factory it permits *multiple* pools per token pair
 (paper §VI treats every qualifying pool as a distinct graph edge).
 """
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 
 from ..core.errors import UnknownTokenError
 from ..core.types import Token
-from .pool import Pool, PoolSnapshot
+from .pool import Pool, PoolSnapshot, TwoTokenPool
 
 __all__ = ["PoolRegistry", "RegistrySnapshot"]
 
@@ -42,10 +43,10 @@ class RegistrySnapshot:
 class PoolRegistry:
     """Mutable collection of pools with pair and token indices."""
 
-    def __init__(self, pools: Iterable[Pool] = ()):
-        self._pools: dict[str, Pool] = {}
-        self._by_pair: dict[frozenset[Token], list[Pool]] = {}
-        self._by_token: dict[Token, list[Pool]] = {}
+    def __init__(self, pools: Iterable[TwoTokenPool] = ()):
+        self._pools: dict[str, TwoTokenPool] = {}
+        self._by_pair: dict[frozenset[Token], list[TwoTokenPool]] = {}
+        self._by_token: dict[Token, list[TwoTokenPool]] = {}
         for pool in pools:
             self.add(pool)
 
@@ -56,19 +57,19 @@ class PoolRegistry:
     def __len__(self) -> int:
         return len(self._pools)
 
-    def __iter__(self) -> Iterator[Pool]:
+    def __iter__(self) -> Iterator[TwoTokenPool]:
         return iter(self._pools.values())
 
     def __contains__(self, pool_id: str) -> bool:
         return pool_id in self._pools
 
-    def __getitem__(self, pool_id: str) -> Pool:
+    def __getitem__(self, pool_id: str) -> TwoTokenPool:
         try:
             return self._pools[pool_id]
         except KeyError:
             raise KeyError(f"no pool with id {pool_id!r}") from None
 
-    def add(self, pool: Pool) -> Pool:
+    def add(self, pool: TwoTokenPool) -> TwoTokenPool:
         """Register a pool; pool ids must be unique."""
         if pool.pool_id in self._pools:
             raise ValueError(f"duplicate pool id {pool.pool_id!r}")
@@ -100,17 +101,17 @@ class PoolRegistry:
         """All tokens that appear in at least one pool."""
         return frozenset(self._by_token)
 
-    def pools_for_pair(self, token_a: Token, token_b: Token) -> tuple[Pool, ...]:
+    def pools_for_pair(self, token_a: Token, token_b: Token) -> tuple[TwoTokenPool, ...]:
         """All pools (possibly several) between two tokens."""
         return tuple(self._by_pair.get(frozenset((token_a, token_b)), ()))
 
-    def pools_with_token(self, token: Token) -> tuple[Pool, ...]:
+    def pools_with_token(self, token: Token) -> tuple[TwoTokenPool, ...]:
         """All pools that hold ``token`` on either side."""
         if token not in self._by_token:
             raise UnknownTokenError(f"no pool holds {token}")
         return tuple(self._by_token[token])
 
-    def best_pool_for_pair(self, token_in: Token, token_out: Token) -> Pool:
+    def best_pool_for_pair(self, token_in: Token, token_out: Token) -> TwoTokenPool:
         """Among parallel pools, the one with the best spot price for
         ``token_in -> token_out`` (deterministic tie-break on pool id)."""
         candidates = self.pools_for_pair(token_in, token_out)

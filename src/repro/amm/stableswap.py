@@ -36,14 +36,12 @@ operand is a parity break, not a style fix.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from ..core.errors import InvalidReserveError, SolverConvergenceError, UnknownTokenError
+from ..core.errors import InvalidReserveError, SolverConvergenceError
 from ..core.types import Token
-from .events import BurnEvent, MarketEvent, MintEvent, SwapEvent
 from .families import FAMILY_STABLESWAP
-from .swap import validate_fee, validate_reserves
+from .pool import TwoTokenPool
 
 __all__ = [
     "DEFAULT_AMPLIFICATION",
@@ -51,13 +49,10 @@ __all__ = [
     "STABLESWAP_MAX_ITER",
     "STABLESWAP_TOL",
     "StableSwapPool",
-    "StableSwapSnapshot",
     "calculate_d",
     "calculate_y",
     "invariant_rate",
 ]
-
-_stable_counter = itertools.count()
 
 #: Curve mainnet stable pools commonly run A in the tens-to-hundreds.
 DEFAULT_AMPLIFICATION = 80.0
@@ -134,53 +129,32 @@ def invariant_rate(x: float, y: float, d: float, amp: float) -> float:
     return (ann + term / x) / (ann + term / y)
 
 
-class StableSwapSnapshot:
-    """Frozen reserves of a stableswap pool (atomic revert support)."""
-
-    __slots__ = ("pool_id", "reserve0", "reserve1", "amplification", "fee")
-
-    def __init__(self, pool_id, reserve0, reserve1, amplification, fee):
-        self.pool_id = pool_id
-        self.reserve0 = reserve0
-        self.reserve1 = reserve1
-        self.amplification = amplification
-        self.fee = fee
-
-
-class StableSwapPool:
+class StableSwapPool(TwoTokenPool):
     """A two-token amplified-invariant (Curve-style) pool.
 
-    Implements the same duck interface as
-    :class:`~repro.amm.pool.Pool` / :class:`~repro.amm.weighted.WeightedPool`
-    (``quote_out``, ``spot_price``, ``marginal_rate``,
-    ``reserves_oriented``, ``swap``, events, snapshot/restore), so
-    loops, strategies, replay, and the columnar market layer take it
-    without special cases; the linear-fractional composition algebra is
-    constant-product-specific and refuses it (``is_constant_product``
-    stays ``False``), routing scalar optimization through the generic
-    chain-rule path.
+    A :class:`~repro.amm.pool.TwoTokenPool` that supplies the
+    stableswap curve, so loops, strategies, replay, and the columnar
+    market layer take it without special cases; the linear-fractional
+    composition algebra is constant-product-specific and refuses it (its
+    ``family`` is ``FAMILY_STABLESWAP``), routing scalar optimization
+    through the generic chain-rule path.  The base's ratio-matched
+    mint/burn keeps the pool's balance point, since ``D`` is homogeneous
+    of degree 1 (scaling both reserves by ``k`` scales ``D`` by ``k``).
 
-    Parameters
-    ----------
-    token0, token1:
-        The pooled tokens (normalized so token0.symbol < token1.symbol).
-    reserve0, reserve1:
-        Reserves matching the argument order before normalization.
+    Construction as :class:`~repro.amm.pool.TwoTokenPool`, plus:
+
     amplification:
         Curve's ``A`` (>= 1); higher values hug constant-sum longer.
         ``A -> inf`` is constant-sum, ``A`` small approaches
         constant-product behaviour.
-    fee:
-        Swap fee on the input side, default 4 bps.
+
+    ``fee`` defaults to 4 bps and auto ids read ``spool-N``.
     """
 
-    is_constant_product = False
     family = FAMILY_STABLESWAP
+    id_prefix = "spool"
 
-    __slots__ = (
-        "_token0", "_token1", "_reserve0", "_reserve1",
-        "_amplification", "_fee", "_pool_id", "_events",
-    )
+    __slots__ = ("_amplification",)
 
     def __init__(
         self,
@@ -192,108 +166,19 @@ class StableSwapPool:
         fee: float = DEFAULT_STABLESWAP_FEE,
         pool_id: str | None = None,
     ):
-        if token0 == token1:
-            raise InvalidReserveError(
-                f"a pool needs two distinct tokens, got {token0} twice"
-            )
-        validate_reserves(reserve0, reserve1)
-        validate_fee(fee)
+        super().__init__(token0, token1, reserve0, reserve1, fee, pool_id)
         if not (math.isfinite(amplification) and amplification >= 1.0):
             raise InvalidReserveError(
                 f"amplification must be finite and >= 1, got {amplification}"
             )
-        if token1.symbol < token0.symbol:
-            token0, token1 = token1, token0
-            reserve0, reserve1 = reserve1, reserve0
-        self._token0 = token0
-        self._token1 = token1
-        self._reserve0 = float(reserve0)
-        self._reserve1 = float(reserve1)
         self._amplification = float(amplification)
-        self._fee = float(fee)
-        self._pool_id = (
-            pool_id if pool_id is not None else f"spool-{next(_stable_counter)}"
-        )
-        self._events: list[MarketEvent] = []
 
-    # ------------------------------------------------------------------
-    # identity & orientation
-    # ------------------------------------------------------------------
-
-    @property
-    def pool_id(self) -> str:
-        return self._pool_id
-
-    @property
-    def token0(self) -> Token:
-        return self._token0
-
-    @property
-    def token1(self) -> Token:
-        return self._token1
-
-    @property
-    def tokens(self) -> tuple[Token, Token]:
-        return (self._token0, self._token1)
-
-    @property
-    def fee(self) -> float:
-        return self._fee
+    def _params(self) -> dict:
+        return {"amplification": self._amplification}
 
     @property
     def amplification(self) -> float:
         return self._amplification
-
-    @property
-    def reserve0(self) -> float:
-        """Current reserve of ``token0`` (duck-parity with ``Pool``)."""
-        return self._reserve0
-
-    @property
-    def reserve1(self) -> float:
-        """Current reserve of ``token1``."""
-        return self._reserve1
-
-    @property
-    def events(self) -> tuple[MarketEvent, ...]:
-        return tuple(self._events)
-
-    @property
-    def event_count(self) -> int:
-        return len(self._events)
-
-    @property
-    def last_event(self) -> MarketEvent | None:
-        return self._events[-1] if self._events else None
-
-    def events_after(self, count: int) -> tuple[MarketEvent, ...]:
-        return tuple(self._events[count:])
-
-    def discard_events_after(self, count: int) -> None:
-        """Drop events recorded after the first ``count`` (revert support)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        del self._events[count:]
-
-    def __contains__(self, token: Token) -> bool:
-        return token == self._token0 or token == self._token1
-
-    def other(self, token: Token) -> Token:
-        if token == self._token0:
-            return self._token1
-        if token == self._token1:
-            return self._token0
-        raise UnknownTokenError(f"{token} is not in {self!r}")
-
-    def reserve_of(self, token: Token) -> float:
-        if token == self._token0:
-            return self._reserve0
-        if token == self._token1:
-            return self._reserve1
-        raise UnknownTokenError(f"{token} is not in {self!r}")
-
-    def reserves_oriented(self, token_in: Token) -> tuple[float, float]:
-        return (self.reserve_of(token_in), self.reserve_of(self.other(token_in)))
 
     def __repr__(self) -> str:
         return (
@@ -349,107 +234,3 @@ class StableSwapPool:
         else:
             y_cur = calculate_y(x_cur, d, self._amplification)
         return gamma * invariant_rate(x_cur, y_cur, d, self._amplification)
-
-    # ------------------------------------------------------------------
-    # state transitions
-    # ------------------------------------------------------------------
-
-    def swap(self, token_in: Token, amount_in: float) -> float:
-        """Execute an exact-in swap; mutates reserves, logs an event."""
-        token_out = self.other(token_in)
-        amount_out = self.quote_out(token_in, amount_in)
-        if token_in == self._token0:
-            self._reserve0 += amount_in
-            self._reserve1 -= amount_out
-        else:
-            self._reserve1 += amount_in
-            self._reserve0 -= amount_out
-        self._events.append(
-            SwapEvent(
-                pool_id=self._pool_id,
-                token_in=token_in,
-                token_out=token_out,
-                amount_in=amount_in,
-                amount_out=amount_out,
-            )
-        )
-        return amount_out
-
-    def copy(self) -> "StableSwapPool":
-        return StableSwapPool(
-            self._token0,
-            self._token1,
-            self._reserve0,
-            self._reserve1,
-            amplification=self._amplification,
-            fee=self._fee,
-            pool_id=self._pool_id,
-        )
-
-    def add_liquidity(self, amount0: float, amount1: float) -> None:
-        """Proportional deposit (ratio-matched, like Pool.add_liquidity).
-
-        ``D`` is homogeneous of degree 1 (scaling both reserves by
-        ``k`` scales ``D`` by ``k``), so a ratio-matched deposit keeps
-        the pool's balance point — the same protocol the other
-        families use, and what replay's Mint events encode.
-        """
-        if amount0 <= 0 or amount1 <= 0:
-            raise InvalidReserveError(
-                f"liquidity amounts must be positive, got ({amount0}, {amount1})"
-            )
-        ratio_pool = self._reserve0 / self._reserve1
-        ratio_in = amount0 / amount1
-        if abs(ratio_in - ratio_pool) > 1e-3 * ratio_pool:
-            raise InvalidReserveError(
-                f"deposit ratio {ratio_in:g} does not match pool ratio "
-                f"{ratio_pool:g} in {self._pool_id}"
-            )
-        self._reserve0 += amount0
-        self._reserve1 += amount1
-        self._events.append(
-            MintEvent(pool_id=self._pool_id, amount0=amount0, amount1=amount1)
-        )
-
-    def remove_liquidity(self, fraction: float) -> tuple[float, float]:
-        """Withdraw a fraction of both reserves."""
-        if not 0.0 < fraction < 1.0:
-            raise InvalidReserveError(f"fraction must be in (0, 1), got {fraction}")
-        out0 = self._reserve0 * fraction
-        out1 = self._reserve1 * fraction
-        self._reserve0 -= out0
-        self._reserve1 -= out1
-        self._events.append(
-            BurnEvent(
-                pool_id=self._pool_id, fraction=fraction, amount0=out0, amount1=out1
-            )
-        )
-        return (out0, out1)
-
-    def tvl(self, prices) -> float:
-        """Total value locked under a price map."""
-        return (
-            prices[self._token0] * self._reserve0
-            + prices[self._token1] * self._reserve1
-        )
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (atomicity protocol shared with Pool)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> StableSwapSnapshot:
-        return StableSwapSnapshot(
-            pool_id=self._pool_id,
-            reserve0=self._reserve0,
-            reserve1=self._reserve1,
-            amplification=self._amplification,
-            fee=self._fee,
-        )
-
-    def restore(self, snap: StableSwapSnapshot) -> None:
-        if snap.pool_id != self._pool_id:
-            raise ValueError(
-                f"snapshot of {snap.pool_id} cannot restore {self._pool_id}"
-            )
-        self._reserve0 = snap.reserve0
-        self._reserve1 = snap.reserve1

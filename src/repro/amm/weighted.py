@@ -10,16 +10,16 @@ Balancer:
     spot price: gamma * (y / w_y) / (x / w_x)
 
 With ``w_x == w_y`` this reduces exactly to the V2 formula (the test
-suite pins that).  A :class:`WeightedPool` implements the same duck
-interface as :class:`~repro.amm.pool.Pool` (``quote_out``,
-``spot_price``, ``marginal_rate``, ``reserves_oriented``, ``swap``,
-...), so :class:`~repro.core.loop.ArbitrageLoop` and the strategies
-work on mixed loops — *except* the linear-fractional composition
-algebra, which is constant-product-specific; the generic chain-rule
-optimizer (:mod:`repro.optimize.chain`) covers weighted hops.
-
-``is_constant_product`` distinguishes the families so the composition
-path can refuse weighted pools instead of silently mis-pricing them.
+suite pins that).  A :class:`WeightedPool` is a
+:class:`~repro.amm.pool.TwoTokenPool` that supplies this curve and its
+weights; the base holds the reserves, events, swaps, liquidity and
+snapshots, so :class:`~repro.core.loop.ArbitrageLoop` and the
+strategies work on mixed loops — *except* the linear-fractional
+composition algebra, which is constant-product-specific; the generic
+chain-rule optimizer (:mod:`repro.optimize.chain`) covers weighted
+hops.  The pool's ``family`` code (``FAMILY_G3M``) lets the
+composition path refuse weighted pools instead of silently
+mis-pricing them.
 
 All fractional powers route through :func:`pinned_pow` — the same
 ``np.power`` ufunc the columnar weighted kernel
@@ -30,7 +30,6 @@ platform (see ``pinned_pow`` for why ``**`` would not).
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 
@@ -38,15 +37,12 @@ import numpy as np
 
 from ..core.errors import InvalidReserveError, UnknownTokenError
 from ..core.types import Token
-from .events import BurnEvent, MarketEvent, MintEvent, SwapEvent
 from .families import FAMILY_G3M
-from .swap import validate_fee, validate_reserves
+from .pool import DEFAULT_FEE, TwoTokenPool
 
-__all__ = ["WeightedPool", "WeightedPoolSnapshot", "pinned_pow"]
+__all__ = ["WeightedPool", "pinned_pow"]
 
 logger = logging.getLogger("repro.amm.weighted")
-
-_weighted_counter = itertools.count()
 
 
 def pinned_pow(base: float, exponent: float) -> float:
@@ -94,43 +90,24 @@ def pinned_pow(base: float, exponent: float) -> float:
     return result
 
 
-class WeightedPoolSnapshot:
-    """Frozen reserves of a weighted pool (atomic revert support)."""
-
-    __slots__ = ("pool_id", "reserve0", "reserve1", "weight0", "weight1", "fee")
-
-    def __init__(self, pool_id, reserve0, reserve1, weight0, weight1, fee):
-        self.pool_id = pool_id
-        self.reserve0 = reserve0
-        self.reserve1 = reserve1
-        self.weight0 = weight0
-        self.weight1 = weight1
-        self.fee = fee
-
-
-class WeightedPool:
+class WeightedPool(TwoTokenPool):
     """A two-token weighted constant-mean pool.
 
-    Parameters
-    ----------
-    token0, token1:
-        The pooled tokens (normalized so token0.symbol < token1.symbol).
-    reserve0, reserve1:
-        Reserves matching the argument order before normalization.
+    Construction as :class:`~repro.amm.pool.TwoTokenPool`, plus:
+
     weight0, weight1:
-        Positive weights; only their ratio matters (Balancer uses
-        fractions summing to 1, e.g. an 80/20 pool).
-    fee:
-        Swap fee, default 0.003.
+        Positive weights matching the argument order (re-mapped with
+        the tokens if normalization swapped them); only their ratio
+        matters (Balancer uses fractions summing to 1, e.g. an 80/20
+        pool).
+
+    ``fee`` defaults to 0.003 and auto ids read ``wpool-N``.
     """
 
-    is_constant_product = False
     family = FAMILY_G3M
+    id_prefix = "wpool"
 
-    __slots__ = (
-        "_token0", "_token1", "_reserve0", "_reserve1",
-        "_weight0", "_weight1", "_fee", "_pool_id", "_events",
-    )
+    __slots__ = ("_weight0", "_weight1")
 
     def __init__(
         self,
@@ -140,106 +117,21 @@ class WeightedPool:
         reserve1: float,
         weight0: float = 0.5,
         weight1: float = 0.5,
-        fee: float = 0.003,
+        fee: float = DEFAULT_FEE,
         pool_id: str | None = None,
     ):
-        if token0 == token1:
-            raise InvalidReserveError(
-                f"a pool needs two distinct tokens, got {token0} twice"
-            )
-        validate_reserves(reserve0, reserve1)
-        validate_fee(fee)
+        super().__init__(token0, token1, reserve0, reserve1, fee, pool_id)
         if weight0 <= 0 or weight1 <= 0:
             raise InvalidReserveError(
                 f"weights must be positive, got ({weight0}, {weight1})"
             )
-        if token1.symbol < token0.symbol:
-            token0, token1 = token1, token0
-            reserve0, reserve1 = reserve1, reserve0
+        if self._token0 is not token0:  # normalization swapped the tokens
             weight0, weight1 = weight1, weight0
-        self._token0 = token0
-        self._token1 = token1
-        self._reserve0 = float(reserve0)
-        self._reserve1 = float(reserve1)
         self._weight0 = float(weight0)
         self._weight1 = float(weight1)
-        self._fee = float(fee)
-        self._pool_id = (
-            pool_id if pool_id is not None else f"wpool-{next(_weighted_counter)}"
-        )
-        self._events: list[MarketEvent] = []
 
-    # ------------------------------------------------------------------
-    # identity & orientation
-    # ------------------------------------------------------------------
-
-    @property
-    def pool_id(self) -> str:
-        return self._pool_id
-
-    @property
-    def token0(self) -> Token:
-        return self._token0
-
-    @property
-    def token1(self) -> Token:
-        return self._token1
-
-    @property
-    def tokens(self) -> tuple[Token, Token]:
-        return (self._token0, self._token1)
-
-    @property
-    def fee(self) -> float:
-        return self._fee
-
-    @property
-    def reserve0(self) -> float:
-        """Current reserve of ``token0`` (duck-parity with ``Pool``)."""
-        return self._reserve0
-
-    @property
-    def reserve1(self) -> float:
-        """Current reserve of ``token1``."""
-        return self._reserve1
-
-    @property
-    def events(self) -> tuple[MarketEvent, ...]:
-        return tuple(self._events)
-
-    @property
-    def event_count(self) -> int:
-        return len(self._events)
-
-    @property
-    def last_event(self) -> MarketEvent | None:
-        return self._events[-1] if self._events else None
-
-    def events_after(self, count: int) -> tuple[MarketEvent, ...]:
-        return tuple(self._events[count:])
-
-    def discard_events_after(self, count: int) -> None:
-        """Drop events recorded after the first ``count`` (revert support)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        del self._events[count:]
-
-    def __contains__(self, token: Token) -> bool:
-        return token == self._token0 or token == self._token1
-
-    def other(self, token: Token) -> Token:
-        if token == self._token0:
-            return self._token1
-        if token == self._token1:
-            return self._token0
-        raise UnknownTokenError(f"{token} is not in {self!r}")
-
-    def reserve_of(self, token: Token) -> float:
-        if token == self._token0:
-            return self._reserve0
-        if token == self._token1:
-            return self._reserve1
-        raise UnknownTokenError(f"{token} is not in {self!r}")
+    def _params(self) -> dict:
+        return {"weight0": self._weight0, "weight1": self._weight1}
 
     def weight_of(self, token: Token) -> float:
         if token == self._token0:
@@ -247,9 +139,6 @@ class WeightedPool:
         if token == self._token1:
             return self._weight1
         raise UnknownTokenError(f"{token} is not in {self!r}")
-
-    def reserves_oriented(self, token_in: Token) -> tuple[float, float]:
-        return (self.reserve_of(token_in), self.reserve_of(self.other(token_in)))
 
     def weight_ratio(self, token_in: Token) -> float:
         """``w_in / w_out`` — the exponent in the swap formula."""
@@ -299,103 +188,3 @@ class WeightedPool:
             y * r * gamma * pinned_pow(x, r)
             / pinned_pow(x + gamma * amount_in, r + 1.0)
         )
-
-    # ------------------------------------------------------------------
-    # state transitions
-    # ------------------------------------------------------------------
-
-    def swap(self, token_in: Token, amount_in: float) -> float:
-        """Execute an exact-in swap; mutates reserves, logs an event."""
-        token_out = self.other(token_in)
-        amount_out = self.quote_out(token_in, amount_in)
-        if token_in == self._token0:
-            self._reserve0 += amount_in
-            self._reserve1 -= amount_out
-        else:
-            self._reserve1 += amount_in
-            self._reserve0 -= amount_out
-        self._events.append(
-            SwapEvent(
-                pool_id=self._pool_id,
-                token_in=token_in,
-                token_out=token_out,
-                amount_in=amount_in,
-                amount_out=amount_out,
-            )
-        )
-        return amount_out
-
-    def copy(self) -> "WeightedPool":
-        return WeightedPool(
-            self._token0,
-            self._token1,
-            self._reserve0,
-            self._reserve1,
-            weight0=self._weight0,
-            weight1=self._weight1,
-            fee=self._fee,
-            pool_id=self._pool_id,
-        )
-
-    def add_liquidity(self, amount0: float, amount1: float) -> None:
-        """Proportional deposit (ratio-matched, like Pool.add_liquidity)."""
-        if amount0 <= 0 or amount1 <= 0:
-            raise InvalidReserveError(
-                f"liquidity amounts must be positive, got ({amount0}, {amount1})"
-            )
-        ratio_pool = self._reserve0 / self._reserve1
-        ratio_in = amount0 / amount1
-        if abs(ratio_in - ratio_pool) > 1e-3 * ratio_pool:
-            raise InvalidReserveError(
-                f"deposit ratio {ratio_in:g} does not match pool ratio "
-                f"{ratio_pool:g} in {self._pool_id}"
-            )
-        self._reserve0 += amount0
-        self._reserve1 += amount1
-        self._events.append(
-            MintEvent(pool_id=self._pool_id, amount0=amount0, amount1=amount1)
-        )
-
-    def remove_liquidity(self, fraction: float) -> tuple[float, float]:
-        """Withdraw a fraction of both reserves."""
-        if not 0.0 < fraction < 1.0:
-            raise InvalidReserveError(f"fraction must be in (0, 1), got {fraction}")
-        out0 = self._reserve0 * fraction
-        out1 = self._reserve1 * fraction
-        self._reserve0 -= out0
-        self._reserve1 -= out1
-        self._events.append(
-            BurnEvent(
-                pool_id=self._pool_id, fraction=fraction, amount0=out0, amount1=out1
-            )
-        )
-        return (out0, out1)
-
-    def tvl(self, prices) -> float:
-        """Total value locked under a price map."""
-        return (
-            prices[self._token0] * self._reserve0
-            + prices[self._token1] * self._reserve1
-        )
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (atomicity protocol shared with Pool)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> WeightedPoolSnapshot:
-        return WeightedPoolSnapshot(
-            pool_id=self._pool_id,
-            reserve0=self._reserve0,
-            reserve1=self._reserve1,
-            weight0=self._weight0,
-            weight1=self._weight1,
-            fee=self._fee,
-        )
-
-    def restore(self, snap: WeightedPoolSnapshot) -> None:
-        if snap.pool_id != self._pool_id:
-            raise ValueError(
-                f"snapshot of {snap.pool_id} cannot restore {self._pool_id}"
-            )
-        self._reserve0 = snap.reserve0
-        self._reserve1 = snap.reserve1

@@ -94,9 +94,10 @@ class Rotation:
         generic loops use :mod:`repro.optimize.chain` instead.
         """
         from ..amm.composition import compose_hops
+        from ..amm.families import FAMILY_CPMM, pool_family
 
         for pool in self.pools:
-            if not getattr(pool, "is_constant_product", True):
+            if pool_family(pool) != FAMILY_CPMM:
                 raise TypeError(
                     f"{pool!r} is not constant-product; use the chain-rule "
                     "optimizer for this rotation"

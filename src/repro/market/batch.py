@@ -255,10 +255,10 @@ class BatchEvaluator:
 
     def __repr__(self) -> str:
         compiled = sum(len(g) for g in self.groups)
-        weighted = sum(len(g) for g in self.groups if g.weighted)
+        mixed = sum(len(g) for g in self.groups if g.mixed)
         return (
             f"BatchEvaluator({len(self.loops)} loops: {compiled} compiled "
-            f"({weighted} weighted) in {len(self.groups)} group(s), "
+            f"({mixed} mixed) in {len(self.groups)} group(s), "
             f"{len(self.fallback_positions)} scalar-only)"
         )
 

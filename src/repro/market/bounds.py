@@ -162,7 +162,9 @@ def rotation_profit_bounds(
     Returns a ``(len(rows), length)`` matrix whose column ``o`` bounds
     the start-token profit of rotation ``o`` (the rotation starting at
     ``loop.tokens[o]``).  Exactly 0.0 where the inflated rate product
-    proves no profitable input exists.  The bounds read reserves only,
+    proves no profitable input exists; NaN (unprunable) where the rate
+    is NaN, e.g. a stableswap ``D`` iteration that did not converge.
+    The bounds read reserves only,
     so they hold until a pool of the loop moves, at any prices.
     """
     rate, y_out = group_rate_bound(arrays, group, rows)
@@ -176,7 +178,8 @@ def rotation_profit_bounds(
             # CPMM closed-form bound: y * (1 - 1/sqrt(R))^2
             root = np.sqrt(np.maximum(r_eff, 1.0))
             factor = np.square(1.0 - 1.0 / root)
-        factor = np.where(r_eff > 1.0, factor, 0.0)
+        # written so a NaN rate keeps a NaN (unprunable) factor
+        factor = np.where(r_eff <= 1.0, 0.0, factor)
         # rotation o is fed by base hop (o - 1) mod n: its start token
         # is capped by that hop's out-side reserve
         y_into = y_out[:, np.arange(n) - 1]
@@ -240,10 +243,12 @@ def monetized_bounds(
             any_nan = np.isnan(price_matrix).any(axis=1)
             return np.where(any_nan, np.nan, bounds)
         # maxmax: the best monetized rotation is below the best
-        # monetized per-rotation bound; NaN prices propagate through
-        # max() only when their rotation's bound is positive — the
-        # same rows where the exact pass would raise
-        return np.max(price_matrix * per_rotation, axis=1)
+        # monetized per-rotation bound; a rotation bounded at exactly
+        # 0.0 contributes 0.0 whatever its price, so NaN prices
+        # propagate through max() only when their rotation's bound is
+        # positive — the same rows where the exact pass would raise
+        monetized = np.where(per_rotation == 0.0, 0.0, price_matrix * per_rotation)
+        return np.max(monetized, axis=1)
 
 
 def below_threshold(values: np.ndarray, threshold: float) -> np.ndarray:

@@ -89,12 +89,6 @@ class CompiledLoopGroup:
         group is quoted by the iterative chain kernel."""
         return needs_chain_kernel(self.families)
 
-    @property
-    def weighted(self) -> bool:
-        """Historical alias of :attr:`mixed` (the chain kernel grew
-        out of the G3M/weighted kernel)."""
-        return self.mixed
-
     def __len__(self) -> int:
         return len(self.loops)
 

@@ -22,10 +22,11 @@ handle that family without branching on type flags:
   for ``--exact`` audits).
 
 No hook applies events: swaps, mints and burns move reserves in the
-pool class alone, and the columns copy the results
-(:meth:`~repro.market.MarketArrays.pull`).  Adding a family = adding a
-pool class in ``amm/``, one descriptor here, and (if its math is
-iterative) a batched lockstep solver in :mod:`repro.market.solvers`.
+:class:`~repro.amm.pool.TwoTokenPool` base alone, and the columns copy
+the results (:meth:`~repro.market.MarketArrays.pull`).  Adding a family
+= adding a ``TwoTokenPool`` subclass with its curve and parameters in
+``amm/``, one descriptor here, and (if its math is iterative) a batched
+lockstep solver in :mod:`repro.market.solvers`.
 Nothing else in the market layer — not the arrays, the compiler, the
 kernels, the bounds, nor the shared-memory layout — needs to know the
 new family exists.

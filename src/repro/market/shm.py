@@ -67,7 +67,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..amm.families import FAMILY_CPMM, pool_family
+from ..amm.families import pool_family
 from ..core.types import Token
 from .arrays import MarketArrays
 
@@ -187,10 +187,6 @@ class PoolHandle:
         self.token0 = pool.token0
         self.token1 = pool.token1
         self.family = pool_family(pool)
-
-    @property
-    def is_constant_product(self) -> bool:
-        return self.family == FAMILY_CPMM
 
     @property
     def tokens(self) -> tuple[Token, Token]:

@@ -46,7 +46,7 @@ def pytest_pyfunc_call(pyfuncitem):
     asyncio.run(func(**kwargs))
     return True
 
-from repro.amm import Pool, PoolRegistry
+from repro.amm import Pool, PoolRegistry, StableSwapPool, WeightedPool
 from repro.core import ArbitrageLoop, PriceMap, Token
 from repro.data import paper_market, section5_loop, section5_prices, section5_snapshot
 from repro.data.snapshot import MarketSnapshot
@@ -87,6 +87,22 @@ def no_arb_loop(tokens_xyz):
         Pool(z, x, 100.0, 100.0, pool_id="na-zx"),
     ]
     return ArbitrageLoop([x, y, z], pools)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param((Pool, {}), id="cpmm"),
+        pytest.param((WeightedPool, {"weight0": 0.7, "weight1": 0.3}), id="g3m"),
+        pytest.param((StableSwapPool, {"amplification": 120.0}), id="stableswap"),
+    ]
+)
+def family_pool(request, tokens_xyz):
+    """A fresh 100 X / 200 Y pool (id ``t-xy``) of each family, its
+    family parameters off their defaults — the subject of the tests of
+    behaviour every family shares through ``TwoTokenPool``."""
+    cls, params = request.param
+    x, y, _ = tokens_xyz
+    return cls(x, y, 100.0, 200.0, pool_id="t-xy", **params)
 
 
 @pytest.fixture

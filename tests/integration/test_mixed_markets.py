@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.amm import Pool, PoolRegistry, WeightedPool
+from repro.amm import FAMILY_CPMM, FAMILY_G3M, Pool, PoolRegistry, WeightedPool, pool_family
 from repro.core import PriceMap, Token
 from repro.data import MarketSnapshot
 from repro.execution import ExecutionSimulator, plan_from_result
@@ -48,7 +48,7 @@ class TestMixedDetection:
         mixed_loops = [
             loop
             for loop in loops
-            if any(not p.is_constant_product for p in loop.pools)
+            if any(pool_family(p) != FAMILY_CPMM for p in loop.pools)
         ]
         if not mixed_loops:
             pytest.skip("no profitable mixed loop at these reserves")
@@ -80,7 +80,7 @@ class TestMixedSerialization:
         restored = MarketSnapshot.from_json(mixed_snapshot.to_json())
         assert restored.to_json() == mixed_snapshot.to_json()
         weighted = restored.registry["mx-bc"]
-        assert not weighted.is_constant_product
+        assert weighted.family == FAMILY_G3M
         assert weighted.weight_of(B) == pytest.approx(0.6)
         # quotes agree with the original
         original = mixed_snapshot.registry["mx-bc"]

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.amm.events import BurnEvent, MintEvent, PriceTickEvent, SwapEvent
+from repro.amm.families import FAMILY_STABLESWAP
 from repro.core import Token
 from repro.core.errors import (
     EventOrderError,
@@ -479,6 +480,46 @@ class TestFailurePaths:
             assert (pool.reserve0, pool.reserve1) == (
                 second.reserve0, second.reserve1
             )
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    async def test_draining_swap_raises_before_it_is_written(self, backend):
+        """A swap whose output would empty a stableswap pool's reserve
+        is rejected with a typed error while ingest applies its block,
+        before the store is written, like the rows of MALFORMED_EVENTS."""
+        market, _ = make_workload(10, 24, 1, 1, seed=11, stableswap_fraction=0.3)
+        before = _market_segments()
+        service = OpportunityService(market, n_shards=2, backend=backend)
+        target = next(
+            p for p in market.registry
+            if p.family == FAMILY_STABLESWAP
+            and service.plan.shards_for_pool(p.pool_id)
+        )
+        row = service._store.pool_index[target.pool_id]
+        stored = (service._store.reserve0[row], service._store.reserve1[row])
+
+        async def draining_source():
+            yield SwapEvent(
+                pool_id=target.pool_id, token_in=target.token0,
+                token_out=target.token1, amount_in=1e300, amount_out=0.0,
+                block=0,
+            )
+
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(InvalidReserveError, match="would leave"):
+                await service.run(draining_source())
+            assert time.perf_counter() - t0 < 5.0
+            assert _market_segments() <= before
+            pool = service._market.registry[target.pool_id]
+            assert (pool.reserve0, pool.reserve1) == (
+                target.reserve0, target.reserve1
+            )
+            if backend == "inline":  # a segment is unlinked by now
+                assert (
+                    service._store.reserve0[row], service._store.reserve1[row]
+                ) == stored
         finally:
             service.close()
 

@@ -90,7 +90,7 @@ def reference_rotation_profit_bounds(arrays, group, rows):
         else:
             root = np.sqrt(np.maximum(r_eff, 1.0))
             factor = np.square(1.0 - 1.0 / root)
-        factor = np.where(r_eff > 1.0, factor, 0.0)
+        factor = np.where(r_eff <= 1.0, 0.0, factor)
         bounds = factor[:, None] * np.roll(y_out, 1, axis=1)
         return np.where(
             bounds > 0.0,

@@ -32,7 +32,7 @@ their bit-identity asserts.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.amm import Pool, PoolRegistry
@@ -104,7 +104,9 @@ def _assert_results_match(got, ref) -> None:
     ``pow`` rounding may differ by an ulp between the array and scalar
     paths (module docstring), which can also shift an iterative
     solver's bracket — and with it the iteration count — by one, so
-    ``details`` is compared with slack on ``iterations`` only.
+    ``details`` is compared with slack on ``iterations``, float details
+    (and each entry of MaxMax's ``per_rotation`` dict) to the
+    documented tolerance, and everything else exactly.
     """
     assert got.amount_in == pytest.approx(
         ref.amount_in, rel=WEIGHTED_PARITY_RTOL, abs=1e-12
@@ -121,19 +123,43 @@ def _assert_results_match(got, ref) -> None:
             assert got.details[key] == pytest.approx(
                 ref_value, rel=WEIGHTED_PARITY_RTOL, abs=1e-9
             )
+        elif key == "per_rotation":
+            assert got.details[key].keys() == ref_value.keys()
+            for start, profit in ref_value.items():
+                assert got.details[key][start] == pytest.approx(
+                    profit, rel=WEIGHTED_PARITY_RTOL, abs=1e-9
+                )
         else:
             assert got.details[key] == ref_value
 
 
+def ulp_apart_market():
+    """A draw on which the kernel's and the scalar path's MaxMax
+    ``per_rotation["A"]`` differ by an ulp (22.891113642646953 vs
+    22.891113642646943) at equal monetized profit: every price 1.0."""
+    a, b, c, d = TOKENS
+    registry = PoolRegistry()
+    pools = [
+        WeightedPool(a, b, 50.0, 62528.0, 0.1, 0.2, fee=0.0, pool_id="w0"),
+        WeightedPool(b, c, 50.0, 50.0, 0.25, 0.875, fee=0.0, pool_id="w1"),
+        Pool(c, d, 50.0, 131.0, fee=0.0, pool_id="p2"),
+        Pool(a, d, 50.0, 50.0, fee=0.0, pool_id="p3"),
+    ]
+    for pool in pools:
+        registry.add(pool)
+    return registry, ArbitrageLoop(TOKENS, pools), PriceMap(dict.fromkeys(TOKENS, 1.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(market=weighted_market(), m=method)
+@example(market=ulp_apart_market(), m="closed_form")
 def test_weighted_quotes_match_scalar_optimizer(market, m):
     registry, loop, prices = market
     evaluator = BatchEvaluator(
         [loop], arrays=MarketArrays.from_registry(registry), min_batch=1
     )
     assert evaluator.fallback_positions == []
-    assert evaluator.groups[0].weighted
+    assert evaluator.groups[0].mixed
     for strategy in (
         TraditionalStrategy(method=m),
         MaxPriceStrategy(method=m),

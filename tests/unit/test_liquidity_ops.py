@@ -1,18 +1,20 @@
-"""Unit tests for Pool.add_liquidity / remove_liquidity (V2 mint/burn)."""
+"""Unit tests for ``TwoTokenPool.add_liquidity`` / ``remove_liquidity``
+(V2 mint/burn), on every pool family."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.amm import Pool
+from repro.amm.events import BurnEvent, MintEvent
 from repro.core import InvalidReserveError, Token
 
 X, Y = Token("X"), Token("Y")
 
 
 @pytest.fixture
-def pool():
-    return Pool(X, Y, 100.0, 200.0, pool_id="lp-xy")
+def pool(family_pool):
+    """100 X / 200 Y in each family (``family_pool`` in conftest)."""
+    return family_pool
 
 
 class TestAddLiquidity:
@@ -69,3 +71,12 @@ class TestRemoveLiquidity:
         pool.remove_liquidity(0.5)  # halve it again
         assert pool.reserve_of(X) == pytest.approx(100.0)
         assert pool.reserve_of(Y) == pytest.approx(200.0)
+
+    def test_mint_and_burn_are_logged(self, pool):
+        pool.add_liquidity(10.0, 20.0)
+        assert pool.last_event == MintEvent(pool_id="t-xy", amount0=10.0, amount1=20.0)
+        out0, out1 = pool.remove_liquidity(0.25)
+        assert pool.last_event == BurnEvent(
+            pool_id="t-xy", fraction=0.25, amount0=out0, amount1=out1
+        )
+        assert pool.event_count == 2

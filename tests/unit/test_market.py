@@ -194,7 +194,7 @@ class TestCompileLoops:
         arrays = MarketArrays.from_registry(registry)
         groups, fallback = compile_loops([mixed, pure], arrays)
         assert fallback == []
-        assert [(g.length, g.weighted) for g in groups] == [(3, False), (3, True)]
+        assert [(g.length, g.mixed) for g in groups] == [(3, False), (3, True)]
         assert [list(g.positions) for g in groups] == [[1], [0]]
 
     def test_equal_weight_g3m_pools_stay_in_weighted_groups(self, registry):
@@ -207,7 +207,7 @@ class TestCompileLoops:
         )
         arrays = MarketArrays.from_registry(registry)
         groups, _ = compile_loops([mixed], arrays)
-        assert [g.weighted for g in groups] == [True]
+        assert [g.mixed for g in groups] == [True]
 
     def test_foreign_pools_fall_back(self, registry):
         foreign = Pool(Y, W, 10.0, 10.0, pool_id="elsewhere")

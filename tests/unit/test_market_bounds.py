@@ -1,7 +1,8 @@
 """Unit tests for the monetized profit upper bounds
 (:mod:`repro.market.bounds`) and the pruning entry point they power
 here, :meth:`BatchEvaluator.evaluate_top_k` (the service's shard
-workers prune on them too; their tests live with the service).
+workers prune on them too; their tests live with the service, except
+the NaN-bound case below, which covers both pruning paths).
 
 The soundness contract under test: a bound is *never* below the exact
 kernel profit, and a bound of exactly ``0.0`` proves the exact profit
@@ -17,14 +18,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.amm import PoolRegistry
+from repro.amm import PoolRegistry, StableSwapPool
 from repro.amm.weighted import WeightedPool
-from repro.core import ArbitrageLoop, PriceMap, Token
+from repro.core import ArbitrageLoop, PriceMap, SolverConvergenceError, Token
 from repro.market import (
     BatchEvaluator,
     MarketArrays,
     below_threshold,
 )
+from repro.service import ShardWorker
+from repro.service.worker import BlockWork
 from repro.strategies import (
     ConvexOptimizationStrategy,
     MaxMaxStrategy,
@@ -204,3 +207,101 @@ class TestEvaluateTopK:
         assert len(scored) + pruned == len(loops)
         empty = BatchEvaluator([], arrays=MarketArrays([]))
         assert empty.evaluate_top_k(MaxMaxStrategy(), prices, k=3) == ([], 0)
+
+
+#: stableswap reserves too far apart for the ``D`` iteration to converge
+STUCK = (1e-300, 1e300)
+
+
+def _forward_loops(registry, names):
+    """The forward loop ``{name}a -> {name}b -> {name}c`` of each
+    ``disjoint_triangles`` triangle in ``names``."""
+    return [
+        ArbitrageLoop(
+            [Token(f"{name}{s}") for s in "abc"],
+            [registry[f"{name}-{pair}"] for pair in ("ab", "bc", "ca")],
+        )
+        for name in names
+    ]
+
+
+def _with_stuck_triangle(market, reserves):
+    """Add triangle ``S`` to a ``disjoint_triangles`` market: CPMM
+    ``S-ab`` and ``S-bc`` at 1000/1000, stableswap ``S-ca`` at
+    ``reserves``, every price 1.0.  Returns ``(registry, loops,
+    prices)`` with the forward loops, ``S``'s last."""
+    registry = market.registry
+    names = sorted({pool.pool_id.split("-")[0] for pool in registry})
+    a, b, c = (Token(f"S{s}") for s in "abc")
+    registry.create(a, b, 1000.0, 1000.0, pool_id="S-ab")
+    registry.create(b, c, 1000.0, 1000.0, pool_id="S-bc")
+    registry.add(StableSwapPool(c, a, *reserves, pool_id="S-ca"))
+    prices = PriceMap({**market.prices, a: 1.0, b: 1.0, c: 1.0})
+    return registry, _forward_loops(registry, [*names, "S"]), prices
+
+
+class TestNanBoundsStayUnprunable:
+    """A NaN rate (here a stableswap ``D`` iteration that does not
+    converge) bounds its loop NaN, never 0.0, so a pruned pass raises
+    where the unpruned pass raises; and a MaxMax rotation bounded at
+    exactly 0.0 does not turn a missing price into a NaN bound."""
+
+    def test_nan_rate_gives_nan_bound(self, disjoint_triangles):
+        registry, loops, prices = _with_stuck_triangle(disjoint_triangles({}), STUCK)
+        evaluator = make_evaluator(registry, loops, min_batch=1)
+        for strategy in (MaxMaxStrategy(), MaxPriceStrategy()):
+            assert np.isnan(evaluator.monetized_bounds(strategy, prices)).all()
+            with pytest.raises(SolverConvergenceError):
+                evaluator.evaluate_many(strategy, prices)
+
+    def test_top_k_raises_like_the_unpruned_pass(self, disjoint_triangles):
+        # A fills K = 1; 64 balanced triangles (bound exactly 0.0) fill
+        # the first quote chunk ahead of the stuck loop, so only a NaN
+        # bound, sorted first, gets it quoted
+        names = {"A": 1300.0, **{f"F{i:02d}": 1000.0 for i in range(64)}}
+        registry, loops, prices = _with_stuck_triangle(
+            disjoint_triangles(names), STUCK
+        )
+        evaluator = make_evaluator(registry, loops)
+        strategy = MaxMaxStrategy()
+        with pytest.raises(SolverConvergenceError):
+            evaluator.evaluate_many(strategy, prices)
+        with pytest.raises(SolverConvergenceError):
+            evaluator.evaluate_top_k(strategy, prices, k=1)
+
+    @pytest.mark.parametrize("top_k", [None, 1])
+    def test_pruning_shard_raises_like_the_unpruned_one(
+        self, disjoint_triangles, top_k
+    ):
+        # the stuck pool starts healthy (the priming pass quotes every
+        # loop); a block then moves it to the stuck reserves
+        registry, loops, prices = _with_stuck_triangle(
+            disjoint_triangles({"A": 1300.0}), (1000.0, 1000.0)
+        )
+        store = MarketArrays.from_registry(registry)
+        worker = ShardWorker(0, store, loops, MaxMaxStrategy(), prices, top_k=top_k)
+        assert worker.profits.max() > 0.0  # A fills K
+        row = store.pool_index["S-ca"]
+        store.reserve0[row], store.reserve1[row] = STUCK
+        work = BlockWork(
+            block=1, epoch=0, rows=(row,), ticks=(), t_ingest=0.0, t_dispatch=0.0
+        )
+        with pytest.raises(SolverConvergenceError):
+            worker.process_block(work)
+
+    def test_zero_rotation_bound_ignores_missing_price(self, disjoint_triangles):
+        market = disjoint_triangles({"A": 1000.0, "B": 1300.0})
+        unpriced = Token("Ac")
+        prices = PriceMap({t: p for t, p in market.prices.items() if t != unpriced})
+        evaluator = make_evaluator(
+            market.registry, _forward_loops(market.registry, "AB")
+        )
+        strategy = MaxMaxStrategy()
+        # A is balanced: every rotation bounded at 0.0, exact profit 0.0
+        bounds = evaluator.monetized_bounds(strategy, prices)
+        assert bounds[0] == 0.0
+        assert below_threshold(bounds, 0.0)[0]
+        assert evaluator.evaluate_many(strategy, prices, [0])[0].monetized_profit == 0.0
+        # B is priced: its bound keeps its bits
+        full = evaluator.monetized_bounds(strategy, market.prices)
+        assert bounds[1] == full[1] > 0.0

@@ -1,10 +1,11 @@
-"""Unit tests for the stateful Pool."""
+"""Unit tests for the stateful Pool, and for the behaviour every
+family shares through ``TwoTokenPool`` (``family_pool`` in conftest)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.amm import DEFAULT_FEE, Pool
+from repro.amm import DEFAULT_FEE, Pool, StableSwapPool, WeightedPool
 from repro.core import (
     InvalidReserveError,
     Token,
@@ -39,10 +40,17 @@ class TestConstruction:
     def test_default_fee(self, pool):
         assert pool.fee == DEFAULT_FEE == 0.003
 
-    def test_auto_pool_ids_unique(self):
-        a = Pool(X, Y, 1.0, 1.0)
-        b = Pool(X, Y, 1.0, 1.0)
+    @pytest.mark.parametrize(
+        "cls, prefix",
+        [(Pool, "pool-"), (WeightedPool, "wpool-"), (StableSwapPool, "spool-")],
+    )
+    def test_auto_pool_ids_unique_with_family_prefix(self, cls, prefix):
+        a = cls(X, Y, 1.0, 1.0)
+        b = cls(X, Y, 1.0, 1.0)
         assert a.pool_id != b.pool_id
+        for pool in (a, b):
+            assert pool.pool_id.startswith(prefix)
+            assert pool.pool_id[len(prefix):].isdigit()
 
     def test_contains(self, pool):
         assert X in pool and Y in pool
@@ -119,36 +127,55 @@ class TestSwap:
         out2 = pool.swap(X, 10.0)
         assert out2 < out1  # slippage: second trade gets a worse price
 
+    @pytest.mark.parametrize("token_in", [X, Y], ids=["x-in", "y-in"])
+    def test_draining_swap_rejected_and_pool_unchanged(self, family_pool, token_in):
+        """A swap so large its output rounds to the whole out-side
+        reserve is rejected before either reserve is written, on every
+        family; the pool still quotes."""
+        before = repr(family_pool)
+        with pytest.raises(InvalidReserveError, match="would leave"):
+            family_pool.swap(token_in, 1e300)
+        assert repr(family_pool) == before
+        assert (family_pool.reserve0, family_pool.reserve1) == (100.0, 200.0)
+        assert family_pool.event_count == 0
+        assert family_pool.quote_out(token_in, 1.0) > 0.0
+
 
 class TestSnapshotRestore:
-    def test_restore_roundtrip(self, pool):
-        snap = pool.snapshot()
-        pool.swap(X, 25.0)
-        pool.restore(snap)
-        assert pool.reserve_of(X) == 100.0
-        assert pool.reserve_of(Y) == 200.0
+    def test_restore_roundtrip(self, family_pool):
+        snap = family_pool.snapshot()
+        family_pool.swap(X, 25.0)
+        family_pool.restore(snap)
+        assert family_pool.reserve_of(X) == 100.0
+        assert family_pool.reserve_of(Y) == 200.0
 
-    def test_restore_wrong_pool_rejected(self, pool):
-        other = Pool(X, Y, 1.0, 1.0, pool_id="other")
+    def test_restore_wrong_pool_rejected(self, family_pool):
+        other = type(family_pool)(X, Y, 1.0, 1.0, pool_id="other")
         with pytest.raises(ValueError, match="cannot restore"):
-            pool.restore(other.snapshot())
+            family_pool.restore(other.snapshot())
+        with pytest.raises(ValueError, match="t-xy cannot restore other"):
+            other.restore(family_pool.snapshot())
 
-    def test_from_snapshot_recreates_pool(self, pool):
-        clone = Pool.from_snapshot(pool.snapshot())
-        assert clone.pool_id == pool.pool_id
-        assert clone.reserve_of(X) == pool.reserve_of(X)
-        assert clone.fee == pool.fee
-
-    def test_copy_is_independent(self, pool):
-        clone = pool.copy()
+    def test_copy_is_independent(self, family_pool):
+        family_pool.swap(Y, 5.0)
+        clone = family_pool.copy()
+        # same family, id, reserves, fee and family parameters (the
+        # repr shows weights and amplification), but no event log
+        assert type(clone) is type(family_pool)
+        assert repr(clone) == repr(family_pool)
+        assert (clone.reserve0, clone.reserve1, clone.fee) == (
+            family_pool.reserve0, family_pool.reserve1, family_pool.fee
+        )
+        assert clone.event_count == 0
+        reserve_x = family_pool.reserve_of(X)
         clone.swap(X, 10.0)
-        assert pool.reserve_of(X) == 100.0
+        assert family_pool.reserve_of(X) == reserve_x
 
-    def test_snapshot_tvl(self, pool, simple_prices):
-        snap = pool.snapshot()
+    def test_snapshot_tvl(self, family_pool, simple_prices):
+        snap = family_pool.snapshot()
         # 100 X * 2$ + 200 Y * 10.2$
         assert snap.tvl(simple_prices) == pytest.approx(100 * 2 + 200 * 10.2)
-        assert pool.tvl(simple_prices) == pytest.approx(snap.tvl(simple_prices))
+        assert family_pool.tvl(simple_prices) == snap.tvl(simple_prices)
 
 
 class TestSnapshotTvlDirect:

@@ -15,7 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.amm import PoolRegistry
+from repro.amm import FAMILY_CPMM, FAMILY_G3M, PoolRegistry
 from repro.amm.weighted import WeightedPool
 from repro.core import Token
 from repro.market import MarketArrays, SharedMarketArrays, pool_handles
@@ -255,13 +255,13 @@ class TestPoolHandle:
         assert handle.pool_id == "xy"
         assert X in handle and Y in handle and Z not in handle
         assert handle.tokens == (X, Y)
-        assert handle.is_constant_product
+        assert handle.family == FAMILY_CPMM
         assert "xy" in repr(handle)
 
     def test_weighted_pool_keeps_family(self):
         pool = WeightedPool(X, Y, 1_000.0, 2_000.0, weight0=0.8, weight1=0.2,
                             pool_id="wp")
-        assert PoolHandle(pool).is_constant_product is False
+        assert PoolHandle(pool).family == FAMILY_G3M
 
     def test_no_reserve_state(self, registry):
         # reserves live in the columns alone (the scalar route

@@ -1,9 +1,10 @@
 """Unit tests for the stableswap family (:mod:`repro.amm.stableswap`).
 
 Covers the invariant math (``calculate_d`` / ``calculate_y`` /
-``invariant_rate``), the :class:`StableSwapPool` duck interface
-(quotes, swaps, events, snapshot/restore), the batched lockstep
-solvers' bit-parity with the scalar iterations, the family columns of
+``invariant_rate``), the :class:`StableSwapPool` curve (quotes,
+swaps; the mint/burn, snapshot/restore and copy every family shares
+are tested in ``test_liquidity_ops.py`` and ``test_pool.py``), the
+batched lockstep solvers' bit-parity with the scalar iterations, the family columns of
 :class:`~repro.market.MarketArrays`, the descriptor registry, and the
 JSON snapshot / synthetic-generator integration points.
 """
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.amm import FAMILY_CPMM, FAMILY_G3M, Pool, PoolRegistry
-from repro.amm.events import BurnEvent, MintEvent, SwapEvent
+from repro.amm.events import SwapEvent
 from repro.amm.families import FAMILY_STABLESWAP, pool_family
 from repro.amm.stableswap import (
     DEFAULT_AMPLIFICATION,
@@ -121,7 +122,6 @@ class TestStableSwapPool:
 
     def test_family_markers(self, pool):
         assert pool.family == FAMILY_STABLESWAP
-        assert pool.is_constant_product is False
         assert pool_family(pool) == FAMILY_STABLESWAP
         assert pool.fee == DEFAULT_STABLESWAP_FEE
         assert pool.amplification == DEFAULT_AMPLIFICATION
@@ -176,32 +176,6 @@ class TestStableSwapPool:
         d_before = pool.invariant()
         pool.swap(USDC, 2_500.0)
         assert pool.invariant() == pytest.approx(d_before, rel=1e-10)
-
-    def test_liquidity_events(self, pool):
-        pool.add_liquidity(10_000.0, 9_000.0)  # pool ratio is 10:9
-        assert isinstance(pool.last_event, MintEvent)
-        out0, out1 = pool.remove_liquidity(0.25)
-        assert isinstance(pool.last_event, BurnEvent)
-        assert out0 == pytest.approx((1_000_000.0 + 10_000.0) * 0.25)
-        assert out1 == pytest.approx((900_000.0 + 9_000.0) * 0.25)
-        with pytest.raises(InvalidReserveError, match="ratio"):
-            pool.add_liquidity(1_000.0, 1_000.0)  # off the 10:9 ratio
-
-    def test_snapshot_restore(self, pool):
-        snap = pool.snapshot()
-        pool.swap(USDC, 123.0)
-        pool.restore(snap)
-        assert pool.reserve0 == 1_000_000.0 and pool.reserve1 == 900_000.0
-        other = StableSwapPool(USDC, USDT, 1.0, 1.0, pool_id="other")
-        with pytest.raises(ValueError, match="other"):
-            other.restore(snap)
-
-    def test_copy_is_independent(self, pool):
-        clone = pool.copy()
-        clone.swap(USDC, 50.0)
-        assert pool.reserve0 == 1_000_000.0
-        assert clone.pool_id == pool.pool_id
-        assert clone.amplification == pool.amplification
 
 
 # ----------------------------------------------------------------------

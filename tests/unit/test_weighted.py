@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amm import Pool, WeightedPool
+from repro.amm import FAMILY_CPMM, FAMILY_G3M, Pool, WeightedPool
 from repro.core import ArbitrageLoop, InvalidReserveError, PriceMap, Token
 from repro.optimize import chain_rate, optimize_rotation_chain
 from repro.strategies import (
@@ -92,8 +92,8 @@ class TestWeightedPool:
         assert pool.reserve_of(X) == 100.0
 
     def test_not_constant_product(self):
-        assert WeightedPool(X, Y, 1.0, 1.0).is_constant_product is False
-        assert Pool(X, Y, 1.0, 1.0).is_constant_product is True
+        assert WeightedPool(X, Y, 1.0, 1.0).family == FAMILY_G3M
+        assert Pool(X, Y, 1.0, 1.0).family == FAMILY_CPMM
 
     def test_overflow_magnitudes_fail_loudly(self):
         """`pinned_pow` keeps `**`'s overflow contract: absurd reserve

@@ -34,35 +34,19 @@ class TestWeightedPoolEdges:
         pool = WeightedPool(X, Y, 100.0, 200.0, weight0=0.7, weight1=0.3)
         assert pool.quote_out(X, 0.0) == 0.0
 
-    def test_snapshot_restore_roundtrip(self):
-        pool = WeightedPool(X, Y, 100.0, 200.0, weight0=0.7, weight1=0.3, pool_id="wsr")
-        snap = pool.snapshot()
-        pool.swap(X, 25.0)
-        pool.restore(snap)
-        assert pool.reserve_of(X) == 100.0
-        assert pool.reserve_of(Y) == 200.0
-
-    def test_restore_wrong_pool_rejected(self):
-        a = WeightedPool(X, Y, 100.0, 200.0, pool_id="wa")
-        b = WeightedPool(X, Y, 100.0, 200.0, pool_id="wb")
-        with pytest.raises(ValueError, match="cannot restore"):
-            a.restore(b.snapshot())
-
-    def test_copy_independent(self):
-        pool = WeightedPool(X, Y, 100.0, 200.0, weight0=0.7, weight1=0.3, pool_id="wc")
-        clone = pool.copy()
-        clone.swap(X, 10.0)
-        assert pool.reserve_of(X) == 100.0
-        assert clone.weight_of(X) == 0.7
+    def test_copy_of_reversed_pool_keeps_token_weights(self):
+        """Weights follow the tokens through normalization and survive
+        a copy (snapshot, restore and copy of every family are in
+        test_pool.py)."""
+        pool = WeightedPool(Y, X, 200.0, 100.0, weight0=0.3, weight1=0.7)
+        for p in (pool, pool.copy()):
+            assert p.token0 == X
+            assert (p.weight_of(X), p.weight_of(Y)) == (0.7, 0.3)
+            assert (p.reserve_of(X), p.reserve_of(Y)) == (100.0, 200.0)
 
     def test_repr_mentions_weights(self):
         pool = WeightedPool(X, Y, 100.0, 200.0, weight0=0.8, weight1=0.2)
         assert "@0.8" in repr(pool)
-
-    def test_auto_pool_ids_unique(self):
-        a = WeightedPool(X, Y, 1.0, 1.0)
-        b = WeightedPool(X, Y, 1.0, 1.0)
-        assert a.pool_id != b.pool_id
 
 
 class TestChainOptimizerEdges:

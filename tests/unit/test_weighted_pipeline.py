@@ -103,7 +103,7 @@ class TestWeightedReplayParity:
         (worker,) = driver._workers.values()
         evaluator = worker._evaluator
         assert evaluator.fallback_positions == []
-        assert any(g.weighted for g in evaluator.groups)
+        assert any(g.mixed for g in evaluator.groups)
         # priming covered all 20 loops in kernel passes
         primed = driver.evaluator_stats
         assert primed.scalar_loops == 0
@@ -191,7 +191,7 @@ class TestEngineMixedBatches:
         # the evaluator evaluate_loops scores through
         evaluator = BatchEvaluator(loops)
         assert evaluator.fallback_positions == []
-        assert sum(len(g) for g in evaluator.groups if g.weighted) == 10
+        assert sum(len(g) for g in evaluator.groups if g.mixed) == 10
         assert evaluator.evaluate_many(
             MaxMaxStrategy(), mixed_market.prices
         ) == results
