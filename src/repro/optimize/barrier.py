@@ -28,7 +28,7 @@ starting point satisfies it.
 The duality gap of the barrier method is ``m / t`` with ``m`` the
 total number of inequality terms, which gives the stopping rule.
 
-Two rules keep a solve cheap without moving an iterate by one bit:
+Three rules keep a solve cheap without moving an iterate by one bit:
 
 * A centering stage ends at the first Newton iteration whose line
   search leaves the iterate bitwise unchanged, and goes straight to
@@ -39,6 +39,22 @@ Two rules keep a solve cheap without moving an iterate by one bit:
   iterations.
 * A line search starts from the ``phi_t`` that the previous search
   computed at the point it accepted, instead of evaluating it again.
+* phi_t's gradient and Hessian are summed in Python floats from each
+  constraint's sparse ``terms`` (see :mod:`repro.optimize.program`),
+  not from an n-vector, an n x n matrix and an outer product per
+  constraint.  An entry a constraint touches gets the dense sum's own
+  term, ``g_i / val`` or ``h_ij / val - g_i * g_j / (val * val)``, in
+  constraint order; an entry it does not touch would get +0.0, which
+  changes no sum but -0.0.  A Hessian sum starts at +0.0 and a
+  gradient sum at ``t * c_k``, so only a -0.0 objective coefficient in
+  a program without bounds could see a difference, in the sign of a
+  zero.  The Tikhonov term is subtracted from the diagonal in place.
+
+A slack (a constraint value or a ``v_k``) whose square underflows to
+0.0 stops the solve with :class:`SolverConvergenceError`, since the
+Hessian divides by that square.  Summed densely, the Hessian turned
+infinite there, the Newton step NaN, and the solve returned an
+iterate that had stopped moving as if it were optimal.
 """
 
 from __future__ import annotations
@@ -164,7 +180,7 @@ class BarrierSolver:
     def _phi(self, program: ConvexProgram, v: np.ndarray, t: float) -> float:
         # rejected before any constraint is evaluated: below -x/gamma a
         # weighted hop's value is complex, and comparing it would raise
-        if program.nonneg and np.any(v <= 0.0):
+        if program.nonneg and (v <= 0.0).any():
             return -np.inf
         total = t * program.objective_value(v)
         for c in program.inequalities:
@@ -173,35 +189,47 @@ class BarrierSolver:
                 return -np.inf
             total += np.log(val)
         if program.nonneg:
-            total += float(np.sum(np.log(v)))
+            total += float(np.log(v).sum())
         return total
 
     def _grad_hess(self, program: ConvexProgram, v: np.ndarray, t: float):
         n = program.n_vars
-        grad = t * program.objective.copy()
-        hess = np.zeros((n, n))
-        for c in program.inequalities:
-            val = c.value(v)
-            g = c.grad(v)
-            h = c.hess(v)
-            grad += g / val
-            hess += h / val - np.outer(g, g) / (val * val)
-        if program.nonneg:
-            grad += 1.0 / v
-            hess[np.diag_indices(n)] -= 1.0 / (v * v)
-        return grad, hess
+        terms = [c.terms(v) for c in program.inequalities]
+        grad = (t * program.objective).tolist()
+        hess = [[0.0] * n for _ in range(n)]
+        try:
+            for val, c_grad, c_hess in terms:
+                val_sq = val * val
+                for (i, gi), c_row in zip(c_grad, c_hess):
+                    grad[i] += gi / val
+                    row = hess[i]
+                    for (j, gj), hij in zip(c_grad, c_row):
+                        row[j] += hij / val - gi * gj / val_sq
+            if program.nonneg:
+                for k, vk in enumerate(v.tolist()):
+                    grad[k] += 1.0 / vk
+                    hess[k][k] -= 1.0 / (vk * vk)
+        except ZeroDivisionError:  # every slack is positive: a square underflowed
+            raise SolverConvergenceError(
+                f"a barrier term's square underflows to 0.0 at barrier weight t={t}"
+            ) from None
+        return np.array(grad), np.array(hess)
 
     def _newton_step(self, hess: np.ndarray, grad: np.ndarray, a_eq):
+        """The Newton step at a point; regularises ``hess`` in place."""
         n = grad.shape[0]
         # Tiny regularization keeps the system solvable when a
-        # constraint is nearly linear in some direction.
-        reg = 1e-12 * max(1.0, float(np.max(np.abs(hess))))
-        h_reg = hess - reg * np.eye(n)
+        # constraint is nearly linear in some direction.  Only the
+        # diagonal changes: off it, ``hess - reg * eye`` subtracts
+        # ``reg * 0.0``, which is 0.0 unless reg, and with it some
+        # Hessian entry, is infinite.
+        reg = 1e-12 * max(1.0, float(np.abs(hess).max()))
+        hess.flat[:: n + 1] -= reg
         if a_eq is None:
-            return np.linalg.solve(-h_reg, grad)
+            return np.linalg.solve(-hess, grad)
         p = a_eq.shape[0]
         kkt = np.zeros((n + p, n + p))
-        kkt[:n, :n] = h_reg
+        kkt[:n, :n] = hess
         kkt[:n, n:] = a_eq.T
         kkt[n:, :n] = a_eq
         rhs = np.concatenate([-grad, np.zeros(p)])

@@ -15,7 +15,13 @@ A :class:`ConvexProgram` is:
 
 Concavity of every ``g_i`` makes the feasible set convex and the
 log-barrier of the inequalities convex, which is what both backends
-rely on.  Constraint objects expose value / gradient / Hessian.
+rely on.
+
+Each inequality writes its formulas once, in ``terms(v)``: its value
+and its gradient and Hessian restricted to the variables it touches,
+as Python floats.  The barrier sums phi_t's derivatives from those
+terms; ``grad``/``hess`` scatter them into the dense arrays that
+SLSQP's ``jac`` and the tests use.
 """
 
 from __future__ import annotations
@@ -28,30 +34,77 @@ import numpy as np
 __all__ = ["AffineConstraint", "HopConstraint", "WeightedHopConstraint", "LinearEquality", "ConvexProgram"]
 
 
+class _SparseTerms:
+    """Dense ``grad``/``hess`` of an inequality, built from its ``terms``.
+
+    ``terms(v)`` returns ``(value, grad, hess)``: ``grad`` holds one
+    ``(index, derivative)`` pair per variable the constraint touches,
+    and ``hess`` the square block over those variables, ``hess[a][b]``
+    being the second derivative in ``grad[a]``'s and ``grad[b]``'s.
+    Every gradient and Hessian entry outside them is zero.
+    """
+
+    n_vars: int
+
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        g = np.zeros(self.n_vars)
+        for i, gi in self.terms(v)[1]:
+            g[i] = gi
+        return g
+
+    def hess(self, v: np.ndarray) -> np.ndarray:
+        h = np.zeros((self.n_vars, self.n_vars))
+        _value, grad, block = self.terms(v)
+        for (i, _gi), row in zip(grad, block):
+            for (j, _gj), hij in zip(grad, row):
+                h[i, j] = hij
+        return h
+
+
+def _check_hop(x: float, y: float, gamma: float, idx_in: int, idx_out: int, n_vars: int) -> None:
+    if x <= 0 or y <= 0:
+        raise ValueError(f"reserves must be positive, got x={x}, y={y}")
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+    if idx_in == idx_out or not (0 <= idx_in < n_vars and 0 <= idx_out < n_vars):
+        raise ValueError(
+            f"hop variables must be two distinct indices below {n_vars}, "
+            f"got {idx_in} and {idx_out}"
+        )
+
+
 @dataclass(frozen=True)
-class AffineConstraint:
+class AffineConstraint(_SparseTerms):
     """Linear inequality ``coeffs . v + offset >= 0`` (trivially concave)."""
 
     coeffs: np.ndarray
     offset: float = 0.0
     name: str = ""
+    _grad: tuple = field(init=False, repr=False, compare=False)
+    _hess: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        # a private read-only copy, so the terms below stay its gradient
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.setflags(write=False)
+        grad = tuple((i, c) for i, c in enumerate(coeffs.tolist()) if c != 0.0)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_grad", grad)
+        object.__setattr__(self, "_hess", ((0.0,) * len(grad),) * len(grad))
+
+    @property
+    def n_vars(self) -> int:
+        return self.coeffs.shape[0]
 
     def value(self, v: np.ndarray) -> float:
         return float(self.coeffs @ v + self.offset)
 
-    def grad(self, v: np.ndarray) -> np.ndarray:
-        return self.coeffs
-
-    def hess(self, v: np.ndarray) -> np.ndarray:
-        n = self.coeffs.shape[0]
-        return np.zeros((n, n))
+    def terms(self, v: np.ndarray) -> tuple:
+        return self.value(v), self._grad, self._hess
 
 
 @dataclass(frozen=True)
-class HopConstraint:
+class HopConstraint(_SparseTerms):
     """CPMM hop feasibility ``y*g*v_in/(x + g*v_in) - v_out >= 0``.
 
     ``g`` is gamma = 1 - fee.  The left side is concave in
@@ -70,10 +123,7 @@ class HopConstraint:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.x <= 0 or self.y <= 0:
-            raise ValueError(f"reserves must be positive, got x={self.x}, y={self.y}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        _check_hop(self.x, self.y, self.gamma, self.idx_in, self.idx_out, self.n_vars)
 
     def _forward(self, t: float) -> float:
         return self.y * self.gamma * t / (self.x + self.gamma * t)
@@ -81,24 +131,23 @@ class HopConstraint:
     def value(self, v: np.ndarray) -> float:
         return self._forward(float(v[self.idx_in])) - float(v[self.idx_out])
 
-    def grad(self, v: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.n_vars)
+    def terms(self, v: np.ndarray) -> tuple:
         denom = self.x + self.gamma * float(v[self.idx_in])
-        g[self.idx_in] = self.y * self.gamma * self.x / (denom * denom)
-        g[self.idx_out] = -1.0
-        return g
-
-    def hess(self, v: np.ndarray) -> np.ndarray:
-        h = np.zeros((self.n_vars, self.n_vars))
-        denom = self.x + self.gamma * float(v[self.idx_in])
-        h[self.idx_in, self.idx_in] = (
-            -2.0 * self.y * self.gamma * self.gamma * self.x / (denom ** 3)
+        return (
+            self.value(v),
+            (
+                (self.idx_in, self.y * self.gamma * self.x / (denom * denom)),
+                (self.idx_out, -1.0),
+            ),
+            (
+                (-2.0 * self.y * self.gamma * self.gamma * self.x / (denom ** 3), 0.0),
+                (0.0, 0.0),
+            ),
         )
-        return h
 
 
 @dataclass(frozen=True)
-class WeightedHopConstraint:
+class WeightedHopConstraint(_SparseTerms):
     """G3M hop feasibility ``y*(1 - (x/(x+g*v_in))^r) - v_out >= 0``.
 
     ``r = w_in / w_out`` is the weight ratio; ``r == 1`` coincides with
@@ -117,10 +166,7 @@ class WeightedHopConstraint:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.x <= 0 or self.y <= 0:
-            raise ValueError(f"reserves must be positive, got x={self.x}, y={self.y}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        _check_hop(self.x, self.y, self.gamma, self.idx_in, self.idx_out, self.n_vars)
         if self.ratio <= 0:
             raise ValueError(f"weight ratio must be positive, got {self.ratio}")
 
@@ -131,24 +177,27 @@ class WeightedHopConstraint:
     def value(self, v: np.ndarray) -> float:
         return self._forward(float(v[self.idx_in])) - float(v[self.idx_out])
 
-    def grad(self, v: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.n_vars)
+    def terms(self, v: np.ndarray) -> tuple:
         denom = self.x + self.gamma * float(v[self.idx_in])
-        g[self.idx_in] = (
-            self.y * self.ratio * self.gamma * (self.x ** self.ratio)
-            / (denom ** (self.ratio + 1.0))
+        return (
+            self.value(v),
+            (
+                (
+                    self.idx_in,
+                    self.y * self.ratio * self.gamma * (self.x ** self.ratio)
+                    / (denom ** (self.ratio + 1.0)),
+                ),
+                (self.idx_out, -1.0),
+            ),
+            (
+                (
+                    -self.y * self.ratio * (self.ratio + 1.0) * self.gamma * self.gamma
+                    * (self.x ** self.ratio) / (denom ** (self.ratio + 2.0)),
+                    0.0,
+                ),
+                (0.0, 0.0),
+            ),
         )
-        g[self.idx_out] = -1.0
-        return g
-
-    def hess(self, v: np.ndarray) -> np.ndarray:
-        h = np.zeros((self.n_vars, self.n_vars))
-        denom = self.x + self.gamma * float(v[self.idx_in])
-        h[self.idx_in, self.idx_in] = (
-            -self.y * self.ratio * (self.ratio + 1.0) * self.gamma * self.gamma
-            * (self.x ** self.ratio) / (denom ** (self.ratio + 2.0))
-        )
-        return h
 
 
 @dataclass(frozen=True)

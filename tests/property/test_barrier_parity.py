@@ -1,14 +1,17 @@
 """Hypothesis: ``BarrierSolver`` matches the reference barrier bit for bit.
 
 ``BarrierSolver`` ends a centering stage at the first line search that
-leaves the iterate unchanged, and starts each line search from the
-phi_t its predecessor computed at the same point.  ``ReferenceBarrier``
-keeps the method those rules replaced, verbatim: its own copy of phi_t
-and its derivatives (summed over every constraint object's
-``value``/``grad``/``hess``, as ``BarrierSolver`` still does), every
-stage run to ``max_newton`` Newton iterations, and phi_t evaluated
-afresh at the start of every line search.  The two must give each
-solve's ``x`` and ``iterations`` bit for bit, or the same error.
+leaves the iterate unchanged, starts each line search from the phi_t
+its predecessor computed at the same point, sums phi_t's gradient and
+Hessian from each constraint's sparse ``terms``, and regularises the
+Hessian's diagonal in place.  ``ReferenceBarrier`` keeps the dense
+method those changes replaced, verbatim: its own copy of phi_t and its
+derivatives (dense n-vectors and n x n matrices summed over every
+constraint object's ``value``/``grad``/``hess``), its own Newton step
+(``hess - reg * np.eye(n)``), every stage run to ``max_newton`` Newton
+iterations, and phi_t evaluated afresh at the start of every line
+search.  The two must give each solve's ``x`` and ``iterations`` bit
+for bit, or the same error.
 """
 
 from __future__ import annotations
@@ -65,6 +68,23 @@ class ReferenceBarrier(BarrierSolver):
             hess[np.diag_indices(n)] -= 1.0 / (v * v)
         return grad, hess
 
+    def _newton_step(self, hess: np.ndarray, grad: np.ndarray, a_eq):
+        n = grad.shape[0]
+        # Tiny regularization keeps the system solvable when a
+        # constraint is nearly linear in some direction.
+        reg = 1e-12 * max(1.0, float(np.max(np.abs(hess))))
+        h_reg = hess - reg * np.eye(n)
+        if a_eq is None:
+            return np.linalg.solve(-h_reg, grad)
+        p = a_eq.shape[0]
+        kkt = np.zeros((n + p, n + p))
+        kkt[:n, :n] = h_reg
+        kkt[:n, n:] = a_eq.T
+        kkt[n:, :n] = a_eq
+        rhs = np.concatenate([-grad, np.zeros(p)])
+        sol = np.linalg.solve(kkt, rhs)
+        return sol[:n]
+
     def _center(self, program: ConvexProgram, v: np.ndarray, t: float, a_eq):
         for _ in range(self.max_newton):
             grad, hess = self._grad_hess(program, v, t)
@@ -106,7 +126,7 @@ class ReferenceBarrier(BarrierSolver):
         return v
 
 
-X, Y, Z = Token("X"), Token("Y"), Token("Z")
+TOKENS = (Token("X"), Token("Y"), Token("Z"), Token("W"))
 
 # the ranges of test_strategy_properties.py
 reserve = st.floats(min_value=50.0, max_value=1e5)
@@ -116,11 +136,14 @@ weight = st.floats(min_value=0.1, max_value=0.9)
 
 @st.composite
 def loop_programs(draw):
-    """The eq.-(8) program of a CPMM, weighted or mixed triangle, in a
-    direction that has a strict interior, and its barrier start."""
+    """The eq.-(8) program of a CPMM, weighted or mixed triangle or
+    4-hop loop (the length Figs. 9-10 solve), in a direction that has a
+    strict interior, and its barrier start."""
     family = draw(st.sampled_from(["cpmm", "weighted", "mixed"]))
+    tokens = TOKENS[:draw(st.sampled_from([3, 4]))]
     pools = []
-    for j, (a, b) in enumerate(((X, Y), (Y, Z), (Z, X))):
+    for j, a in enumerate(tokens):
+        b = tokens[(j + 1) % len(tokens)]
         if family == "weighted" or (family == "mixed" and draw(st.booleans())):
             pools.append(WeightedPool(
                 a, b, draw(reserve), draw(reserve), draw(weight), draw(weight),
@@ -128,8 +151,8 @@ def loop_programs(draw):
             ))
         else:
             pools.append(Pool(a, b, draw(reserve), draw(reserve), pool_id=f"p{j}"))
-    prices = PriceMap({X: draw(price), Y: draw(price), Z: draw(price)})
-    loop = ArbitrageLoop([X, Y, Z], pools)
+    prices = PriceMap({token: draw(price) for token in tokens})
+    loop = ArbitrageLoop(list(tokens), pools)
     for direction in (loop, loop.reversed()):
         loop_program = build_loop_program(direction, prices)
         try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import InfeasibleProgramError
+from repro.core import InfeasibleProgramError, SolverConvergenceError
 from repro.optimize import (
     AffineConstraint,
     BarrierSolver,
@@ -117,6 +117,24 @@ class TestBarrier:
         )
         with pytest.raises(InfeasibleProgramError, match="equality"):
             solve_barrier(program, np.array([0.3, 0.1]))
+
+    @pytest.mark.parametrize(
+        "offset, nonneg, start",
+        [(1.0, True, 1e-170), (1e-160, False, 1e-160 - 1e-170)],
+        ids=["bound", "constraint"],
+    )
+    def test_slack_squaring_to_zero_stops_the_solve(self, offset, nonneg, start):
+        """maximize v s.t. v <= offset, started where the bound's or the
+        constraint's slack squares to 0.0, which phi_t's Hessian divides
+        by: the solve stops rather than return its start as optimal."""
+        program = ConvexProgram(
+            n_vars=1,
+            objective=np.array([1.0]),
+            inequalities=[AffineConstraint(coeffs=np.array([-1.0]), offset=offset)],
+            nonneg=nonneg,
+        )
+        with pytest.raises(SolverConvergenceError, match="square underflows"):
+            solve_barrier(program, np.array([start]))
 
     @pytest.mark.parametrize(
         "name, value",
